@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race fmt bench benchcmp benchcheck smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden golden-check
+.PHONY: check vet build test race fmt bench benchcmp benchcheck bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden golden-check
 
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
-check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden-check benchcheck
+check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden-check benchcheck bench-quick
 
 vet:
 	$(GO) vet ./...
@@ -135,3 +135,26 @@ benchcheck:
 	echo "benchcheck: comparing against $$base (max +$(BENCHCHECK_REGRESS)% ns/op)"; \
 	$(GO) test -bench 'BenchmarkWritePath' -benchtime=50000x -count=3 -benchmem -run '^$$' . \
 	| $(GO) run ./cmd/benchjson -against $$base -max-regress $(BENCHCHECK_REGRESS) > /dev/null
+
+## bench-quick: the end-to-end benchmark harness (bench/README.md) on
+## quarter-size drives, one run per workload, ~30 s: every correctness check
+## of a full report (FTL.CheckInvariants, conservation, read-your-writes,
+## traced == untraced), none of its pins. Exits non-zero if any fails.
+bench-quick:
+	$(GO) run ./bench -quick
+
+## bench-contract: what BENCHMARK.json's driver runs — each workload at its
+## frozen size and seed 1, one untraced and one traced child plus the probes —
+## failing unless every result line says "correct":true, i.e. the expected.json
+## pins (data_wa_pct, ftl.gc_passes, nand.erases, core.clf_f1), the allocation
+## ceilings and the conservation checks all hold. Several minutes.
+BENCH_WORKLOADS := phftl-small phftl-large base-large mixed-52T sweep-par2-observed
+
+bench-contract:
+	@for w in $(BENCH_WORKLOADS); do \
+		line="$$($(GO) run ./bench -workload $$w -seed 1 -seconds 7 -trace 1)" || exit 1; \
+		case "$$line" in \
+		*'"correct":true'*) echo "bench-contract: $$w correct" ;; \
+		*) echo "bench-contract: $$w did not report \"correct\":true:"; echo "$$line"; exit 1 ;; \
+		esac; \
+	done

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -310,6 +311,84 @@ func TestShutdownRequeuesRunning(t *testing.T) {
 	}
 	if _, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "Base"}); err == nil {
 		t.Fatal("submit after Shutdown accepted")
+	}
+}
+
+// TestJournalTornFinalLine pins what journalLocked's "a killed process loses
+// at most the line being written" needs from the reader: a final line that
+// has neither a newline nor valid JSON is dropped, not fatal; the journal is
+// cut back so the next record starts on its own line; and the same garbage
+// anywhere but the end is still an error.
+func TestJournalTornFinalLine(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "queue.jsonl")
+	s1 := newSupervisor(t, Config{exec: smallExec, JournalPath: journal})
+	var names []string
+	for _, tr := range []string{"#52", "#144", "#326"} {
+		name, err := s1.SubmitCell(httpd.CellSpec{Trace: tr, Scheme: "Base"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	if err := s1.CancelCell(names[1]); err != nil {
+		t.Fatal(err)
+	}
+	s1.Shutdown()
+	intact, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const torn = `{"op":"submit","id":4,"name":"#52/Base@j4","spe`
+	if err := os.WriteFile(journal, append(intact[:len(intact):len(intact)], torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart over the torn journal: the state from before the tear.
+	s2 := newSupervisor(t, Config{exec: smallExec, JournalPath: journal})
+	if got := s2.Names(); !reflect.DeepEqual(got, names) {
+		t.Fatalf("names after torn restart = %v, want %v", got, names)
+	}
+	if s2.Pending() != 2 {
+		t.Fatalf("Pending after torn restart = %d, want 2", s2.Pending())
+	}
+	if st := s2.cfg.Registry.Cell(names[1]).State(); st != registry.StateCancelled {
+		t.Fatalf("cancelled cell resumed as %v", st)
+	}
+	if got, _ := os.ReadFile(journal); string(got) != string(intact) {
+		t.Fatalf("journal not cut back to its last complete line:\n%q", got)
+	}
+	// The next record lands on a line of its own, and a second restart reads it.
+	fourth, err := s2.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "Base"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Shutdown()
+	s3 := newSupervisor(t, Config{exec: smallExec, JournalPath: journal})
+	if got, want := s3.Names(), append(names, fourth); !reflect.DeepEqual(got, want) {
+		t.Fatalf("names after second restart = %v, want %v", got, want)
+	}
+	s3.Shutdown()
+
+	// A whole record that lost only its newline is kept and terminated.
+	grown, _ := os.ReadFile(journal)
+	if err := os.WriteFile(journal, grown[:len(grown)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s4 := newSupervisor(t, Config{exec: smallExec, JournalPath: journal})
+	if got := s4.Names(); len(got) != 4 {
+		t.Fatalf("names after unterminated restart = %v", got)
+	}
+	s4.Shutdown()
+	if got, _ := os.ReadFile(journal); string(got) != string(grown) {
+		t.Fatalf("unterminated final record not terminated:\n%q", got)
+	}
+
+	// Unparsable anywhere else: still refused.
+	if err := os.WriteFile(journal, append([]byte(torn+"\n"), intact...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Registry: registry.New(), JournalPath: journal}); err == nil {
+		t.Fatal("journal with an unparsable interior line accepted")
 	}
 }
 

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/phftl/phftl/internal/obs/httpd"
@@ -40,8 +42,14 @@ func stateByName(name string) (registry.State, bool) {
 // submission is re-registered, terminal states are applied, and everything
 // still pending is re-enqueued in submission order. Called from New before
 // the journal is reopened for appending.
+//
+// A final line with no newline is what journalLocked was writing when the
+// process was killed. If it does not parse it is dropped and the file cut
+// back to the last complete line; if the record is whole and only its newline
+// is missing, it is replayed and terminated. Either way the next append
+// starts on a line of its own. An unparsable line anywhere else is an error.
 func (s *Supervisor) loadJournal(path string) error {
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -50,18 +58,33 @@ func (s *Supervisor) loadJournal(path string) error {
 	}
 	defer f.Close()
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
+	r := bufio.NewReader(f)
+	var end int64 // offset just past the last line replayed
+	for lineNo, last := 1, false; !last; lineNo++ {
+		raw, err := r.ReadBytes('\n')
+		last = err == io.EOF // raw is what follows the final newline, if anything
+		if err != nil && !last {
+			return fmt.Errorf("fleet: journal %s: %w", path, err)
+		}
+		end += int64(len(raw))
+		line := bytes.TrimSuffix(raw, []byte("\n"))
+		if len(line) == 0 {
 			continue
 		}
 		var l journalLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return fmt.Errorf("fleet: journal %s:%d: %w", path, lineNo, err)
+		if err := json.Unmarshal(line, &l); err != nil {
+			if !last {
+				return fmt.Errorf("fleet: journal %s:%d: %w", path, lineNo, err)
+			}
+			if err := f.Truncate(end - int64(len(raw))); err != nil {
+				return fmt.Errorf("fleet: journal %s: drop torn line %d: %w", path, lineNo, err)
+			}
+			break
+		}
+		if last {
+			if _, err := f.WriteAt([]byte("\n"), end); err != nil {
+				return fmt.Errorf("fleet: journal %s: terminate line %d: %w", path, lineNo, err)
+			}
 		}
 		switch l.Op {
 		case "submit":
@@ -88,9 +111,6 @@ func (s *Supervisor) loadJournal(path string) error {
 		default:
 			return fmt.Errorf("fleet: journal %s:%d: unknown op %q", path, lineNo, l.Op)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("fleet: journal %s: %w", path, err)
 	}
 
 	// Register every cell with the registry in submission order, then

@@ -3,7 +3,6 @@ package ftl
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/phftl/phftl/internal/metrics"
 	"github.com/phftl/phftl/internal/nand"
@@ -126,11 +125,11 @@ type FTL struct {
 	clock uint64 // virtual time: user pages written
 	stats Stats
 
-	// vidx buckets closed superblocks by invalid-page count; victimMode
-	// picks the selector implementation (see victimindex.go). The index is
-	// maintained in every mode.
+	// vidx buckets closed superblocks by invalid-page count for selectVictim
+	// (victimindex.go). victimHook is nil outside this package's tests, which
+	// put the reference scan in its place.
 	vidx       victimIndex
-	victimMode VictimSelectorMode
+	victimHook func() int
 
 	// rec, when non-nil, receives structured trace events (superblock
 	// lifecycle, GC, write stalls). Every emit is guarded by a nil check so
@@ -355,7 +354,7 @@ func (f *FTL) closeIfFull(stream int) error {
 	f.open[stream] = -1
 	// Pages can be invalidated while the superblock is still open, so it
 	// enters the victim index at its current invalid count, not zero.
-	f.vidx.insert(sbID, f.dataPages-sb.valid)
+	f.vidx.insert(sbID, f.dataPages-sb.valid, sb.closeClock)
 	if f.rec != nil {
 		f.rec.Record(obs.Event{
 			Kind: obs.KindSBClose, Clock: f.clock,
@@ -401,11 +400,11 @@ func (f *FTL) invalidateOld(lpn nand.LPN) {
 		// here indicates simulator state corruption.
 		panic(fmt.Sprintf("ftl: invalidate %d: %v", old, err))
 	}
-	sbID := f.cfg.Geometry.SuperblockOf(old)
+	sbID := f.dev.SuperblockOf(old)
 	sb := &f.sbs[sbID]
 	sb.valid--
 	if sb.state == SBClosed {
-		f.vidx.bump(sbID)
+		f.vidx.bump(sbID, sb.closeClock)
 	}
 }
 
@@ -502,58 +501,6 @@ func (f *FTL) maybeGC() error {
 		return f.collect(victim)
 	}
 	return nil
-}
-
-// selectVictim returns the closed superblock with the highest policy score,
-// or -1 when no closed superblock has any invalid page (GC would make no
-// progress). Ties are broken toward the lowest superblock ID; every selector
-// implementation must preserve that guarantee so traces stay reproducible.
-func (f *FTL) selectVictim() int {
-	switch f.victimMode {
-	case VictimScan:
-		return f.selectVictimScan()
-	case VictimCrossCheck:
-		s := f.selectVictimScan()
-		i := f.selectVictimIndexed()
-		if s != i {
-			panic(fmt.Sprintf("ftl: victim selector divergence at clock %d: scan=%d indexed=%d", f.clock, s, i))
-		}
-		return s
-	default:
-		return f.selectVictimIndexed()
-	}
-}
-
-// selectVictimScan is the reference selector: a full scan over all
-// superblocks in ascending ID order with a strict score comparison, which
-// realizes the lowest-ID tie-break implicitly.
-func (f *FTL) selectVictimScan() int {
-	best := -1
-	bestScore := math.Inf(-1)
-	for id := range f.sbs {
-		sb := &f.sbs[id]
-		if sb.state != SBClosed {
-			continue
-		}
-		invalid := f.dataPages - sb.valid
-		if invalid == 0 {
-			continue
-		}
-		view := SBView{
-			ID:         id,
-			Stream:     sb.stream,
-			GCClass:    sb.gcClass,
-			Valid:      sb.valid,
-			Invalid:    invalid,
-			DataPages:  f.dataPages,
-			CloseClock: sb.closeClock,
-		}
-		if score := f.policy.Score(view, f.clock); score > bestScore {
-			bestScore = score
-			best = id
-		}
-	}
-	return best
 }
 
 // SetParallel installs (or removes, with nil) the worker pool used for

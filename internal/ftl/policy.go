@@ -44,12 +44,25 @@ func (CostBenefitPolicy) Name() string { return "CostBenefit" }
 
 // Score implements VictimPolicy.
 func (CostBenefitPolicy) Score(sb SBView, clock uint64) float64 {
-	u := float64(sb.Valid) / float64(sb.DataPages)
+	return costBenefit(sb.Valid, sb.DataPages, clock-sb.CloseClock)
+}
+
+// MaxAgedScore implements VictimAgedScoreBound by evaluating Score's own
+// expression at the oldest age the bucket can hold.
+func (CostBenefitPolicy) MaxAgedScore(invalid, dataPages int, maxAge uint64) float64 {
+	return costBenefit(dataPages-invalid, dataPages, maxAge)
+}
+
+// costBenefit is age·(1−u)/2u. For fixed u every step — the conversion of
+// age, the product with 1−u ≥ 0, the quotient by 2u > 0 — is a correctly
+// rounded monotone operation, so the result is non-decreasing in age as
+// float64s, not just in the reals; MaxAgedScore relies on that.
+func costBenefit(valid, dataPages int, age uint64) float64 {
+	u := float64(valid) / float64(dataPages)
 	if u == 0 {
 		return math.Inf(1) // free win: nothing to migrate
 	}
-	age := float64(clock - sb.CloseClock)
-	return age * (1 - u) / (2 * u)
+	return float64(age) * (1 - u) / (2 * u)
 }
 
 // ThresholdSource supplies the current classification threshold T (in

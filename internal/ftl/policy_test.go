@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -91,5 +92,41 @@ func TestPolicyNames(t *testing.T) {
 	}
 	if (&AdjustedGreedyPolicy{}).Name() != "AdjustedGreedy" {
 		t.Error("adjusted-greedy name")
+	}
+}
+
+// TestCostBenefitAgedBoundDominates is the property the indexed selector's
+// pruning rests on: for any member of a bucket no older than maxAge, the
+// bound compares >= its score as float64s — not merely to within rounding.
+func TestCostBenefitAgedBoundDominates(t *testing.T) {
+	p := CostBenefitPolicy{}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		dataPages := 1 + rng.Intn(4096)
+		invalid := 1 + rng.Intn(dataPages) // == dataPages: u == 0
+		// Ages from every magnitude, past 2^53 where uint64 -> float64 rounds.
+		maxAge := rng.Uint64() >> uint(rng.Intn(64))
+		if i%16 == 0 {
+			maxAge = 0
+		}
+		age := maxAge
+		if maxAge > 0 && i%4 != 0 {
+			// Near the bound as often as far from it.
+			age = maxAge - (rng.Uint64()%maxAge)>>uint(rng.Intn(64))
+		}
+		clock := maxAge + uint64(rng.Intn(1000))
+		score := p.Score(view(dataPages-invalid, invalid, dataPages, clock-age, 0), clock)
+		bound := p.MaxAgedScore(invalid, dataPages, maxAge)
+		if !(bound >= score) {
+			t.Fatalf("dataPages=%d invalid=%d age=%d maxAge=%d: bound %v < score %v",
+				dataPages, invalid, age, maxAge, bound, score)
+		}
+		if age == maxAge && bound != score {
+			t.Fatalf("dataPages=%d invalid=%d age=%d: bound %v != score %v of the oldest member",
+				dataPages, invalid, age, bound, score)
+		}
+		if invalid == dataPages && !math.IsInf(bound, 1) {
+			t.Fatalf("dataPages=%d: fully-invalid bucket bounds to %v, want +Inf", dataPages, bound)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // PageState is the lifecycle state of a physical page.
@@ -83,19 +84,17 @@ var (
 	ErrDataTooLarge    = errors.New("nand: data payload exceeds geometry page size")
 )
 
+// page holds the byte payloads of one physical page. Its state and logical
+// identity live in Device.state and Device.lpn.
 type page struct {
-	state PageState
-	lpn   LPN
-	oob   []byte
-	data  []byte // optional stored payload (metadata pages); nil for user data
+	oob  []byte
+	data []byte // optional stored payload (metadata pages); nil for user data
 }
 
 type block struct {
-	pages     []page
-	writePtr  int // next page index to program (in-block sequential rule)
-	validCnt  int
-	eraseCnt  int
-	programed int // pages programmed since last erase
+	writePtr int // next page index to program (in-block sequential rule)
+	validCnt int
+	eraseCnt int
 }
 
 // Stats aggregates operation counts for the whole device.
@@ -110,32 +109,49 @@ type Stats struct {
 // Device is not safe for concurrent use; the FTL layered on top serializes
 // access, matching a single firmware instance owning the media.
 type Device struct {
-	geo    Geometry
-	dies   [][]block // [die][blockInDie]
-	stats  Stats
-	lat    Latency
-	onOp   func(kind OpKind, p PPN)
-	strict bool // enforce in-block sequential programming
+	geo Geometry
 
-	// Wear-observability state, kept after the hot fields above so adding
-	// it did not shift the per-op counters' offsets.
+	// Page records, indexed by PPN. What invalidation and GC walk — one byte
+	// of state, four of lpn — is kept apart from the 48 B of payload slice
+	// headers, so those walks stay dense in cache and need no address split.
+	state []PageState
+	lpn   []LPN
+	pages []page
+
+	// blocks is die-major like PPNs, so page p sits in blocks[p/PagesPerBlock]
+	// and block blk of a die at blocks[die*BlocksPerDie+blk]. pageShift is
+	// log2(PagesPerBlock), or -1 when that is not a power of two and the
+	// split takes a division.
+	blocks    []block
+	pageShift int
+
+	stats Stats
+	lat   Latency
+	onOp  func(kind OpKind, p PPN)
+
+	// Wear-observability state.
 	dieErase []uint64 // erase cycles per die (sums to stats.Erases)
 	onErase  func(die, blk, count int)
 }
 
 // NewDevice builds a device with the given geometry. All pages start free.
+// Every slice the device ever uses is allocated here; no operation grows one.
 func NewDevice(geo Geometry) (*Device, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Device{geo: geo, lat: DefaultLatency(), strict: true}
-	d.dieErase = make([]uint64, geo.Dies)
-	d.dies = make([][]block, geo.Dies)
-	for i := range d.dies {
-		d.dies[i] = make([]block, geo.BlocksPerDie)
-		for j := range d.dies[i] {
-			d.dies[i][j].pages = make([]page, geo.PagesPerBlock)
-		}
+	d := &Device{
+		geo:       geo,
+		lat:       DefaultLatency(),
+		state:     make([]PageState, geo.TotalPages()),
+		lpn:       make([]LPN, geo.TotalPages()),
+		pages:     make([]page, geo.TotalPages()),
+		blocks:    make([]block, geo.TotalBlocks()),
+		pageShift: -1,
+		dieErase:  make([]uint64, geo.Dies),
+	}
+	if ppb := geo.PagesPerBlock; ppb&(ppb-1) == 0 {
+		d.pageShift = bits.TrailingZeros(uint(ppb))
 	}
 	return d, nil
 }
@@ -174,12 +190,27 @@ func (d *Device) SetEraseHook(fn func(die, blk, count int)) { d.onErase = fn }
 // Stats returns a copy of the accumulated operation counts.
 func (d *Device) Stats() Stats { return d.stats }
 
-func (d *Device) blockOf(p PPN) (*block, int, error) {
-	if int(p) >= d.geo.TotalPages() {
-		return nil, 0, fmt.Errorf("%w: ppn %d", ErrOutOfRange, p)
+// errRange is the out-of-range error of every PPN-addressed operation. Kept
+// out of line so that State, the one the GC loop calls per page, inlines.
+//
+//go:noinline
+func errRange(p PPN) error { return fmt.Errorf("%w: ppn %d", ErrOutOfRange, p) }
+
+// split resolves an in-range PPN to its index in blocks and its page index
+// inside that block.
+func (d *Device) split(p PPN) (blk, pg int) {
+	if d.pageShift >= 0 {
+		return int(p >> uint(d.pageShift)), int(p) & (d.geo.PagesPerBlock - 1)
 	}
-	die, blk, pg := d.geo.Split(p)
-	return &d.dies[die][blk], pg, nil
+	ppb := uint32(d.geo.PagesPerBlock)
+	return int(uint32(p) / ppb), int(uint32(p) % ppb)
+}
+
+// SuperblockOf is Geometry.SuperblockOf with the page split resolved at
+// construction: the FTL calls it once per invalidated page.
+func (d *Device) SuperblockOf(p PPN) int {
+	blk, _ := d.split(p)
+	return int(uint32(blk) % uint32(d.geo.BlocksPerDie))
 }
 
 // Program writes a page. It records the logical identity lpn and an optional
@@ -195,9 +226,8 @@ func (d *Device) Program(p PPN, lpn LPN, oob []byte) error {
 // ProgramFull writes a page retaining both a data payload (up to PageSize
 // bytes, copied) and an OOB payload.
 func (d *Device) ProgramFull(p PPN, lpn LPN, data, oob []byte) error {
-	b, pg, err := d.blockOf(p)
-	if err != nil {
-		return err
+	if int(p) >= len(d.state) {
+		return errRange(p)
 	}
 	if len(oob) > d.geo.OOBSize {
 		return fmt.Errorf("%w: %d > %d", ErrOOBTooLarge, len(oob), d.geo.OOBSize)
@@ -205,22 +235,27 @@ func (d *Device) ProgramFull(p PPN, lpn LPN, data, oob []byte) error {
 	if len(data) > d.geo.PageSize {
 		return fmt.Errorf("%w: %d > %d", ErrDataTooLarge, len(data), d.geo.PageSize)
 	}
-	pageRef := &b.pages[pg]
-	if pageRef.state != PageFree {
-		return fmt.Errorf("%w: ppn %d is %s", ErrNotFree, p, pageRef.state)
+	if d.state[p] != PageFree {
+		return fmt.Errorf("%w: ppn %d is %s", ErrNotFree, p, d.state[p])
 	}
-	if d.strict && pg != b.writePtr {
+	blk, pg := d.split(p)
+	b := &d.blocks[blk]
+	if pg != b.writePtr {
 		return fmt.Errorf("%w: ppn %d (page %d, expected %d)", ErrNotSequential, p, pg, b.writePtr)
 	}
-	pageRef.state = PageValid
-	pageRef.lpn = lpn
-	// Empty payloads truncate instead of nil-ing out, so the capacity a page
-	// accumulated in earlier program/erase cycles survives for the next one.
-	pageRef.oob = append(pageRef.oob[:0], oob...)
-	pageRef.data = append(pageRef.data[:0], data...)
+	d.state[p] = PageValid
+	d.lpn[p] = lpn
+	// A free page's payloads are empty (EraseBlock truncates them), so only
+	// a non-empty payload needs storing — into the capacity the page kept
+	// from earlier program/erase cycles.
+	if len(oob) > 0 {
+		d.pages[p].oob = append(d.pages[p].oob, oob...)
+	}
+	if len(data) > 0 {
+		d.pages[p].data = append(d.pages[p].data, data...)
+	}
 	b.writePtr = pg + 1
 	b.validCnt++
-	b.programed++
 	d.stats.Programs++
 	if d.onOp != nil {
 		d.onOp(OpProgram, p)
@@ -233,38 +268,25 @@ func (d *Device) ProgramFull(p PPN, lpn LPN, data, oob []byte) error {
 // or GC races) but not free. The returned OOB slice aliases device memory and
 // must not be modified.
 func (d *Device) Read(p PPN) (LPN, []byte, error) {
-	b, pg, err := d.blockOf(p)
-	if err != nil {
-		return InvalidLPN, nil, err
-	}
-	pageRef := &b.pages[pg]
-	if pageRef.state == PageFree {
-		return InvalidLPN, nil, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
-	}
-	d.stats.Reads++
-	if d.onOp != nil {
-		d.onOp(OpRead, p)
-	}
-	return pageRef.lpn, pageRef.oob, nil
+	lpn, _, oob, err := d.ReadFull(p)
+	return lpn, oob, err
 }
 
 // ReadFull returns the logical identity, stored data payload and OOB payload
 // of a non-free page. The returned slices alias device memory and must not
 // be modified.
 func (d *Device) ReadFull(p PPN) (LPN, []byte, []byte, error) {
-	b, pg, err := d.blockOf(p)
-	if err != nil {
-		return InvalidLPN, nil, nil, err
+	if int(p) >= len(d.state) {
+		return InvalidLPN, nil, nil, errRange(p)
 	}
-	pageRef := &b.pages[pg]
-	if pageRef.state == PageFree {
+	if d.state[p] == PageFree {
 		return InvalidLPN, nil, nil, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
 	}
 	d.stats.Reads++
 	if d.onOp != nil {
 		d.onOp(OpRead, p)
 	}
-	return pageRef.lpn, pageRef.data, pageRef.oob, nil
+	return d.lpn[p], d.pages[p].data, d.pages[p].oob, nil
 }
 
 // PeekPage returns a page's state, logical identity and OOB payload without
@@ -278,9 +300,7 @@ func (d *Device) ReadFull(p PPN) (LPN, []byte, []byte, error) {
 // Concurrent PeekPage calls are safe with each other but not with any
 // mutating operation; the caller must quiesce programs/erases first.
 func (d *Device) PeekPage(p PPN) (PageState, LPN, []byte) {
-	die, blk, pg := d.geo.Split(p)
-	pageRef := &d.dies[die][blk].pages[pg]
-	return pageRef.state, pageRef.lpn, pageRef.oob
+	return d.state[p], d.lpn[p], d.pages[p].oob
 }
 
 // ChargeRead accounts one flash read of a page whose content was obtained
@@ -298,46 +318,54 @@ func (d *Device) ChargeRead(p PPN) {
 // Invalidate marks a valid page as stale (its logical page was overwritten or
 // trimmed).
 func (d *Device) Invalidate(p PPN) error {
-	b, pg, err := d.blockOf(p)
-	if err != nil {
-		return err
+	if int(p) >= len(d.state) {
+		return errRange(p)
 	}
-	pageRef := &b.pages[pg]
-	if pageRef.state != PageValid {
-		return fmt.Errorf("%w: ppn %d is %s", ErrInvalidateState, p, pageRef.state)
+	if d.state[p] != PageValid {
+		return fmt.Errorf("%w: ppn %d is %s", ErrInvalidateState, p, d.state[p])
 	}
-	pageRef.state = PageInvalid
-	b.validCnt--
+	d.state[p] = PageInvalid
+	blk, _ := d.split(p)
+	d.blocks[blk].validCnt--
 	return nil
+}
+
+// blockAt returns block blk of a die, or ErrOutOfRange.
+func (d *Device) blockAt(die, blk int) (*block, error) {
+	if die < 0 || die >= d.geo.Dies || blk < 0 || blk >= d.geo.BlocksPerDie {
+		return nil, fmt.Errorf("%w: die %d block %d", ErrOutOfRange, die, blk)
+	}
+	return &d.blocks[die*d.geo.BlocksPerDie+blk], nil
 }
 
 // EraseBlock erases one block, freeing all its pages. Erasing a block that
 // still holds valid pages is refused: the FTL must migrate them first.
 func (d *Device) EraseBlock(die, blk int) error {
-	if die < 0 || die >= d.geo.Dies || blk < 0 || blk >= d.geo.BlocksPerDie {
-		return fmt.Errorf("%w: die %d block %d", ErrOutOfRange, die, blk)
+	b, err := d.blockAt(die, blk)
+	if err != nil {
+		return err
 	}
-	b := &d.dies[die][blk]
 	if b.validCnt != 0 {
 		return fmt.Errorf("%w: die %d block %d has %d valid pages", ErrEraseValid, die, blk, b.validCnt)
 	}
-	// Reset page state but keep the oob/data buffer capacity: superblocks
-	// cycle through erase constantly under GC, and dropping the buffers
-	// here would make every re-program after an erase allocate afresh.
-	for i := range b.pages {
-		p := &b.pages[i]
-		p.state = PageFree
-		p.lpn = 0
-		p.oob = p.oob[:0]
-		p.data = p.data[:0]
+	first := d.geo.PPNOf(die, blk, 0)
+	end := int(first) + d.geo.PagesPerBlock
+	clear(d.state[first:end]) // PageFree
+	clear(d.lpn[first:end])
+	// Empty the payloads but keep their capacity: superblocks cycle through
+	// erase constantly under GC, and dropping the buffers here would make
+	// every re-program after an erase allocate afresh.
+	for i := int(first); i < end; i++ {
+		pr := &d.pages[i]
+		pr.oob = pr.oob[:0]
+		pr.data = pr.data[:0]
 	}
 	b.writePtr = 0
-	b.programed = 0
 	b.eraseCnt++
 	d.dieErase[die]++
 	d.stats.Erases++
 	if d.onOp != nil {
-		d.onOp(OpErase, d.geo.PPNOf(die, blk, 0))
+		d.onOp(OpErase, first)
 	}
 	if d.onErase != nil {
 		d.onErase(die, blk, b.eraseCnt)
@@ -360,32 +388,31 @@ func (d *Device) EraseSuperblock(sb int) error {
 
 // State returns the state of a page.
 func (d *Device) State(p PPN) (PageState, error) {
-	b, pg, err := d.blockOf(p)
-	if err != nil {
-		return PageFree, err
+	if int(p) >= len(d.state) {
+		return PageFree, errRange(p)
 	}
-	return b.pages[pg].state, nil
+	return d.state[p], nil
 }
 
 // LPNAt returns the logical identity recorded in a non-free page without
 // counting a flash read (FTL-internal bookkeeping access).
 func (d *Device) LPNAt(p PPN) (LPN, error) {
-	b, pg, err := d.blockOf(p)
-	if err != nil {
-		return InvalidLPN, err
+	if int(p) >= len(d.state) {
+		return InvalidLPN, errRange(p)
 	}
-	if b.pages[pg].state == PageFree {
+	if d.state[p] == PageFree {
 		return InvalidLPN, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
 	}
-	return b.pages[pg].lpn, nil
+	return d.lpn[p], nil
 }
 
 // BlockValidCount returns the number of valid pages in a block.
 func (d *Device) BlockValidCount(die, blk int) (int, error) {
-	if die < 0 || die >= d.geo.Dies || blk < 0 || blk >= d.geo.BlocksPerDie {
-		return 0, fmt.Errorf("%w: die %d block %d", ErrOutOfRange, die, blk)
+	b, err := d.blockAt(die, blk)
+	if err != nil {
+		return 0, err
 	}
-	return d.dies[die][blk].validCnt, nil
+	return b.validCnt, nil
 }
 
 // SuperblockValidCount returns the number of valid pages in a superblock.
@@ -395,17 +422,18 @@ func (d *Device) SuperblockValidCount(sb int) (int, error) {
 	}
 	total := 0
 	for die := 0; die < d.geo.Dies; die++ {
-		total += d.dies[die][sb].validCnt
+		total += d.blocks[die*d.geo.BlocksPerDie+sb].validCnt
 	}
 	return total, nil
 }
 
 // EraseCount returns the wear (erase cycles) of a block.
 func (d *Device) EraseCount(die, blk int) (int, error) {
-	if die < 0 || die >= d.geo.Dies || blk < 0 || blk >= d.geo.BlocksPerDie {
-		return 0, fmt.Errorf("%w: die %d block %d", ErrOutOfRange, die, blk)
+	b, err := d.blockAt(die, blk)
+	if err != nil {
+		return 0, err
 	}
-	return d.dies[die][blk].eraseCnt, nil
+	return b.eraseCnt, nil
 }
 
 // DieEraseCount returns the total erase cycles absorbed by one die. The
@@ -421,11 +449,9 @@ func (d *Device) DieEraseCount(die int) (uint64, error) {
 // for device wear.
 func (d *Device) MaxEraseCount() int {
 	maxErase := 0
-	for die := range d.dies {
-		for blk := range d.dies[die] {
-			if c := d.dies[die][blk].eraseCnt; c > maxErase {
-				maxErase = c
-			}
+	for i := range d.blocks {
+		if c := d.blocks[i].eraseCnt; c > maxErase {
+			maxErase = c
 		}
 	}
 	return maxErase

@@ -154,18 +154,108 @@ func TestEraseSuperblock(t *testing.T) {
 
 func TestOutOfRangeAddresses(t *testing.T) {
 	d := MustNewDevice(testGeo())
-	bad := PPN(d.Geometry().TotalPages())
-	if err := d.Program(bad, 0, nil); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("program: err = %v, want ErrOutOfRange", err)
+	// One past the last page, and the sentinel an unmapped LPN resolves to.
+	for _, bad := range []PPN{PPN(d.Geometry().TotalPages()), InvalidPPN} {
+		errs := map[string]error{
+			"program":      d.Program(bad, 0, nil),
+			"program full": d.ProgramFull(bad, 0, nil, nil),
+			"invalidate":   d.Invalidate(bad),
+		}
+		_, _, errs["read"] = d.Read(bad)
+		_, _, _, errs["read full"] = d.ReadFull(bad)
+		_, errs["state"] = d.State(bad)
+		_, errs["lpn at"] = d.LPNAt(bad)
+		for op, err := range errs {
+			if !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s(%d): err = %v, want ErrOutOfRange", op, bad, err)
+			}
+		}
 	}
-	if _, _, err := d.Read(bad); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("read: err = %v, want ErrOutOfRange", err)
+	if st := d.Stats(); st != (Stats{}) {
+		t.Errorf("refused operations were counted: %+v", st)
 	}
 	if err := d.EraseBlock(99, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("erase: err = %v, want ErrOutOfRange", err)
 	}
 	if err := d.EraseSuperblock(-1); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("erase sb: err = %v, want ErrOutOfRange", err)
+	}
+}
+
+// TestFlatLayoutAddressing fills a device and checks that the PPN-indexed
+// page records and the die-major block array resolve every address the way
+// Geometry does — with a power-of-two PagesPerBlock (shift and mask) and
+// without (division) — and that an erase resets exactly one block's pages.
+func TestFlatLayoutAddressing(t *testing.T) {
+	for _, g := range []Geometry{testGeo(), nonPow2Geo} {
+		d := MustNewDevice(g)
+		lpnOf := func(p PPN) LPN { return LPN(p)*7 + 1 }
+		check := func(p PPN, want PageState) {
+			t.Helper()
+			st, err := d.State(p)
+			peekSt, peekLPN, peekOOB := d.PeekPage(p)
+			if err != nil || st != want || peekSt != want {
+				t.Fatalf("ppn %d: State = %v, %v; PeekPage state = %v; want %v", p, st, err, peekSt, want)
+			}
+			if want == PageFree {
+				if _, err := d.LPNAt(p); !errors.Is(err, ErrReadFree) {
+					t.Fatalf("ppn %d: LPNAt of a free page: err = %v", p, err)
+				}
+				if peekLPN != 0 || len(peekOOB) != 0 {
+					t.Fatalf("ppn %d: free page keeps lpn %d, oob %v", p, peekLPN, peekOOB)
+				}
+				return
+			}
+			lpn, oob, err := d.Read(p)
+			at, atErr := d.LPNAt(p)
+			if err != nil || atErr != nil || lpn != lpnOf(p) || at != lpn || peekLPN != lpn {
+				t.Fatalf("ppn %d: Read lpn %d (%v), LPNAt %d (%v), PeekPage %d; want %d", p, lpn, err, at, atErr, peekLPN, lpnOf(p))
+			}
+			if len(oob) != 2 || oob[0] != byte(p) || oob[1] != byte(p>>8) || string(peekOOB) != string(oob) {
+				t.Fatalf("ppn %d: Read oob %v, PeekPage oob %v", p, oob, peekOOB)
+			}
+		}
+		for sb := 0; sb < g.Superblocks(); sb++ {
+			for off := 0; off < g.PagesPerSuperblock(); off++ {
+				p := g.SuperblockPPN(sb, off)
+				if err := d.Program(p, lpnOf(p), []byte{byte(p), byte(p >> 8)}); err != nil {
+					t.Fatalf("program ppn %d: %v", p, err)
+				}
+				if got := d.SuperblockOf(p); got != sb {
+					t.Fatalf("Device.SuperblockOf(%d) = %d, want %d", p, got, sb)
+				}
+			}
+		}
+		for p := PPN(0); int(p) < g.TotalPages(); p++ {
+			check(p, PageValid)
+		}
+		const die, blk = 1, 2
+		for pg := 0; pg < g.PagesPerBlock; pg++ {
+			if err := d.Invalidate(g.PPNOf(die, blk, pg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for dd := 0; dd < g.Dies; dd++ {
+			for bb := 0; bb < g.BlocksPerDie; bb++ {
+				want := g.PagesPerBlock
+				if dd == die && bb == blk {
+					want = 0
+				}
+				if n, _ := d.BlockValidCount(dd, bb); n != want {
+					t.Fatalf("block (%d,%d): %d valid pages, want %d", dd, bb, n, want)
+				}
+			}
+		}
+		if err := d.EraseBlock(die, blk); err != nil {
+			t.Fatal(err)
+		}
+		for p := PPN(0); int(p) < g.TotalPages(); p++ {
+			want := PageValid
+			if dd, bb, _ := g.Split(p); dd == die && bb == blk {
+				want = PageFree
+			}
+			check(p, want)
+		}
 	}
 }
 
