@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race fmt bench benchcmp benchcheck bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden golden-check
+.PHONY: check vet build test race fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden golden-check
 
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
-check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden-check benchcheck bench-quick
+check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden-check bench-quick
 
 vet:
 	$(GO) vet ./...
@@ -32,10 +32,10 @@ opsweep-smoke:
 
 ## scaling-smoke: the intra-cell parallelism determinism gate — one tiny
 ## trace×scheme pair replayed serially and at -cell-workers 4, both under
-## -race, with the telemetry CSVs diffed byte-for-byte. Proves the pipelined
-## replay, parallel GC snapshot and sharded retrainer are data-race-free AND
-## bit-identical to the serial path end to end (unit tests pin the same
-## property per layer; this pins the composed binary).
+## -race, with the telemetry CSVs diffed byte-for-byte. Proves the pooled
+## sharded retrainer is data-race-free AND bit-identical to the serial path
+## end to end (unit tests pin the same property per layer; this pins the
+## composed binary).
 scaling-smoke:
 	rm -rf /tmp/phftl-scaling-serial /tmp/phftl-scaling-w4
 	$(GO) run -race ./cmd/wabench -dw 1 -traces "#144" -schemes "Base,PHFTL" \
@@ -111,30 +111,6 @@ bench:
 	$(GO) test -bench 'BenchmarkWritePath' -benchtime=200000x -count=3 -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkPredictStep' -benchmem -run '^$$' ./internal/ml
 	$(GO) test -bench 'BenchmarkSelectVictim' -benchmem -run '^$$' ./internal/ftl
-
-## benchcmp: run the bench suite and fold it into a dated JSON snapshot
-## (benchmark name -> ns/op, allocs/op, B/op) for cross-PR comparison.
-## Compare against the previous BENCH_<date>.json with any JSON diff.
-benchcmp:
-	@{ $(GO) test -bench 'BenchmarkWritePath' -benchtime=100000x -count=3 -benchmem -run '^$$' . && \
-	   $(GO) test -bench 'BenchmarkPredictStep' -count=3 -benchmem -run '^$$' ./internal/ml && \
-	   $(GO) test -bench 'BenchmarkSelectVictim' -count=3 -benchmem -run '^$$' ./internal/ftl ; } \
-	| $(GO) run ./cmd/benchjson > BENCH_$$(date +%F).json
-	@echo "wrote BENCH_$$(date +%F).json"
-
-## benchcheck: CI perf gate — rerun the write-path benchmark (short) and fail
-## if ns/op regressed beyond BENCHCHECK_REGRESS percent against the newest
-## committed BENCH_<date>.json. The limit is deliberately generous: the gate
-## is meant to catch step-change regressions (an accidental allocation or
-## lock on the hot path), not wall-clock noise on a shared host.
-BENCHCHECK_REGRESS := 50
-
-benchcheck:
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -1); \
-	if [ -z "$$base" ]; then echo "benchcheck: no BENCH_<date>.json baseline"; exit 1; fi; \
-	echo "benchcheck: comparing against $$base (max +$(BENCHCHECK_REGRESS)% ns/op)"; \
-	$(GO) test -bench 'BenchmarkWritePath' -benchtime=50000x -count=3 -benchmem -run '^$$' . \
-	| $(GO) run ./cmd/benchjson -against $$base -max-regress $(BENCHCHECK_REGRESS) > /dev/null
 
 ## bench-quick: the end-to-end benchmark harness (bench/README.md) on
 ## quarter-size drives, one run per workload, ~30 s: every correctness check

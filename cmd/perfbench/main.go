@@ -20,10 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/phftl/phftl/internal/core"
-	"github.com/phftl/phftl/internal/obs"
-	"github.com/phftl/phftl/internal/obs/httpd"
-	"github.com/phftl/phftl/internal/obs/registry"
 	"github.com/phftl/phftl/internal/perfsim"
 	"github.com/phftl/phftl/internal/runner"
 	"github.com/phftl/phftl/internal/sim"
@@ -57,12 +53,8 @@ func main() {
 	parallel := flag.Int("parallel", 0, "trace×scheme cells to run concurrently (0 = GOMAXPROCS)")
 	pagesOverride := flag.Int("pages", 8192, "override drive size in pages (0 = profile default); timing replay is slower than WA-only replay")
 	iaPerPage := flag.Float64("iapp", 700, "phase-2 mean inter-arrival per written page, µs")
-	telemetry := flag.String("telemetry", "", "write per-run trace events and samples as JSONL to this file (lines tagged trace/scheme)")
-	ringCap := flag.Int("ring-cap", 0, "deprecated one-size alias: bound every per-cell per-kind event ring at this many events (0 = per-kind defaults: rare kinds lossless, hot kinds sampled); overflow drops oldest events with a stderr warning")
-	listen := flag.String("listen", "", "serve live telemetry over HTTP on this address while the run executes (e.g. :9090 or 127.0.0.1:0): /metrics, /api/v1/status, /api/v1/cells, /api/v1/events, /debug/pprof; the bound URL is printed to stderr")
-	wallDurations := flag.Bool("wall-durations", false, "record wall-clock durations (window_retrain duration_ns) into telemetry; off by default so default telemetry stays byte-identical across runs, hosts and worker counts")
-	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
+	var tf runner.TelemetryFlags
+	tf.Register(flag.CommandLine, "write per-run trace events and samples as JSONL to this file (lines tagged trace/scheme)")
 	flag.Parse()
 
 	profiles, err := runner.ParseTraces(*tracesFlag)
@@ -76,36 +68,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	var coreOpts *core.Options
-	if *wallDurations {
-		o := core.DefaultOptions()
-		o.WallDurations = true
-		coreOpts = &o
-	}
-	var reg *registry.Registry
-	if *listen != "" {
-		reg = registry.New()
-		srv, err := httpd.Serve(*listen, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: listening on %s\n", srv.URL())
-	}
-
-	stopProf, err := prof.Start()
+	tel, err := tf.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var telemetryF *os.File
-	if *telemetry != "" {
-		telemetryF, err = os.Create(*telemetry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	coreOpts, reg, telemetryF, stopProf := tel.CoreOpts, tel.Registry, tel.Sink, tel.StopProf
 
 	// Adjust every profile up front: apply the size override and scale the
 	// open-loop arrival rate to the profile's mean request size so every
@@ -149,7 +117,7 @@ func main() {
 			return runner.Output{}, err
 		}
 		if observe {
-			cfg := sim.ObserveConfig{RingCap: *ringCap}
+			var cfg sim.ObserveConfig
 			if reg != nil {
 				cfg.Cell = reg.Cell(c.RunTag()) // pre-opened by runner.Run
 			}
@@ -256,7 +224,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s\n", *telemetry)
+		fmt.Printf("wrote %s\n", tf.Path)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

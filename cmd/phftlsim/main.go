@@ -19,10 +19,8 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/phftl/phftl/internal/core"
 	"github.com/phftl/phftl/internal/ftl"
 	"github.com/phftl/phftl/internal/obs"
-	"github.com/phftl/phftl/internal/obs/httpd"
 	"github.com/phftl/phftl/internal/obs/registry"
 	"github.com/phftl/phftl/internal/runner"
 	"github.com/phftl/phftl/internal/sim"
@@ -42,54 +40,29 @@ func main() {
 	pageSize := flag.Int("pagesize", 16384, "page size in bytes for -csv traces")
 	schemeFlag := flag.String("scheme", "PHFTL", "Base, 2R, SepBIT or PHFTL")
 	driveWrites := flag.Int("dw", 20, "drive writes to replay (synthetic profiles)")
-	telemetry := flag.String("telemetry", "", "write trace events and samples as JSONL to this file")
 	telemetryCSV := flag.String("telemetry-csv", "", "also write the sample time series as CSV to this file")
 	sampleEvery := flag.Uint64("sample-every", 0, "sampling interval in user-page writes (0 = exported/64)")
-	cellWorkers := flag.Int("cell-workers", 1, "intra-cell workers: pipeline trace decoding ahead of the FTL and parallelize GC copies and PHFTL retraining (1 = serial; results are byte-identical at any value)")
-	ringCap := flag.Int("ring-cap", 0, "deprecated one-size alias: bound EVERY per-kind event ring at this many events (0 = per-kind defaults: rare kinds lossless, hot meta-cache kinds sampled 1/16 into bounded rings); overflow drops oldest events of that kind with a stderr warning")
+	cellWorkers := flag.Int("cell-workers", 1, "goroutines retraining PHFTL's classifier at each window end, over its 4 gradient shards (1 = serial, more than 4 is 4, other schemes ignore it; results are byte-identical at any value)")
 	report := flag.Bool("report", false, "print the observability report after the run")
-	listen := flag.String("listen", "", "serve live telemetry over HTTP on this address while the run executes (e.g. :9090 or 127.0.0.1:0): /metrics, /api/v1/status, /api/v1/cells, /api/v1/events, /debug/pprof; the bound URL is printed to stderr")
-	wallDurations := flag.Bool("wall-durations", false, "record wall-clock durations (window_retrain duration_ns) into telemetry; off by default so default telemetry stays byte-identical across runs, hosts and worker counts")
-	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
+	var tf runner.TelemetryFlags
+	tf.Register(flag.CommandLine, "write trace events and samples as JSONL to this file")
 	flag.Parse()
-
-	var coreOpts *core.Options
-	if *wallDurations {
-		o := core.DefaultOptions()
-		o.WallDurations = true
-		coreOpts = &o
-	}
-	var reg *registry.Registry
-	if *listen != "" {
-		reg = registry.New()
-		srv, err := httpd.Serve(*listen, reg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: listening on %s\n", srv.URL())
-	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
 
 	// Open the sinks before the (possibly minutes-long) replay so a bad
 	// path fails now, not after the run.
-	var telemetryF, telemetryCSVF *os.File
-	if *telemetry != "" {
-		if telemetryF, err = os.Create(*telemetry); err != nil {
-			fatal(err)
-		}
+	tel, err := tf.Start()
+	if err != nil {
+		fatal(err)
 	}
+	coreOpts, reg, telemetryF, stopProf := tel.CoreOpts, tel.Registry, tel.Sink, tel.StopProf
+	var telemetryCSVF *os.File
 	if *telemetryCSV != "" {
 		if telemetryCSVF, err = os.Create(*telemetryCSV); err != nil {
 			fatal(err)
 		}
 	}
 
-	observing := *telemetry != "" || *telemetryCSV != "" || *report || reg != nil
+	observing := telemetryF != nil || *telemetryCSV != "" || *report || reg != nil
 	scheme := sim.Scheme(*schemeFlag)
 	// openCell registers this run as a live cell when -listen is set; a nil
 	// return keeps the serial path untouched.
@@ -124,7 +97,7 @@ func main() {
 		in.SetCellWorkers(*cellWorkers)
 		cell := openCell(p.ID, uint64(*driveWrites)*uint64(p.ExportedPages))
 		if observing {
-			sim.Observe(in, sim.ObserveConfig{SampleEvery: *sampleEvery, RingCap: *ringCap, Cell: cell})
+			sim.Observe(in, sim.ObserveConfig{SampleEvery: *sampleEvery, Cell: cell})
 		}
 		res, err = sim.RunOn(in, p, *driveWrites)
 		if err != nil {
@@ -158,7 +131,7 @@ func main() {
 		// registers with an unknown target (no ETA, progress still live).
 		cell := openCell(*csvPath, 0)
 		if observing {
-			sim.Observe(in, sim.ObserveConfig{SampleEvery: *sampleEvery, RingCap: *ringCap, Cell: cell})
+			sim.Observe(in, sim.ObserveConfig{SampleEvery: *sampleEvery, Cell: cell})
 		}
 		ops := trace.Expand(records, *pageSize, in.FTL.ExportedPages())
 		if err = in.Replay(ops); err != nil {
@@ -189,7 +162,7 @@ func main() {
 
 	if o := in.Obs; o != nil {
 		if d := o.Rec.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "warning: per-kind event rings dropped %d of %d events (total bounded capacity %d); raise -ring-cap or use the per-kind defaults (-ring-cap 0) for lossless rare kinds\n",
+			fmt.Fprintf(os.Stderr, "warning: bounded event rings overwrote %d of %d events (total bounded capacity %d): only the 1/16-sampled meta-cache kinds are bounded, rare kinds are lossless and per-kind counters stay exact\n",
 				d, o.Rec.Total(), o.Rec.Capacity())
 		}
 		if telemetryF != nil {
@@ -201,7 +174,7 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("\nwrote %s (%d events, %d dropped, %d samples)\n",
-				*telemetry, len(o.Rec.Events()), o.Rec.Dropped(), len(o.Sampler.Series()))
+				tf.Path, len(o.Rec.Events()), o.Rec.Dropped(), len(o.Sampler.Series()))
 		}
 		if telemetryCSVF != nil {
 			if err := obs.WriteSamplesCSV(telemetryCSVF, o.Sampler.Series()); err != nil {

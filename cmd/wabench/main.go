@@ -23,10 +23,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/phftl/phftl/internal/core"
 	"github.com/phftl/phftl/internal/obs"
-	"github.com/phftl/phftl/internal/obs/httpd"
-	"github.com/phftl/phftl/internal/obs/registry"
 	"github.com/phftl/phftl/internal/runner"
 	"github.com/phftl/phftl/internal/sim"
 	"github.com/phftl/phftl/internal/workload"
@@ -37,16 +34,12 @@ func main() {
 	tracesFlag := flag.String("traces", "", "comma-separated trace IDs (default: all 20)")
 	schemesFlag := flag.String("schemes", "", "comma-separated schemes (default: Base,2R,SepBIT,PHFTL)")
 	parallel := flag.Int("parallel", 0, "trace×scheme cells to run concurrently (0 = GOMAXPROCS)")
-	cellWorkers := flag.Int("cell-workers", 1, "intra-cell workers: pipeline trace decoding ahead of the FTL and parallelize GC copies and PHFTL retraining within each cell (1 = serial; results are byte-identical at any value)")
+	cellWorkers := flag.Int("cell-workers", 1, "goroutines retraining PHFTL's classifier at each window end within a cell, over its 4 gradient shards (1 = serial, more than 4 is 4, other schemes ignore it; results are byte-identical at any value)")
 	csvPath := flag.String("csv", "", "also write results as CSV to this file")
-	telemetry := flag.String("telemetry", "", "write per-run trace events and samples as JSONL to this file (lines tagged trace/scheme)")
 	telemetryCSV := flag.String("telemetry-csv", "", "write each cell's sample time series as <trace>_<scheme>.csv into this directory (created if missing); the golden-curve harness consumes this format")
-	ringCap := flag.Int("ring-cap", 0, "deprecated one-size alias: bound every per-cell per-kind event ring at this many events (0 = per-kind defaults: rare kinds lossless, hot kinds sampled); overflow drops oldest events with a stderr warning")
 	opSweep := flag.String("op-sweep", "", "comma-separated overprovisioning ratios (e.g. \"0.07,0.15,0.28\"): replay each trace×scheme cell once per ratio and report WA vs OP instead of the Figure 5 table")
-	listen := flag.String("listen", "", "serve live telemetry over HTTP on this address while the run executes (e.g. :9090 or 127.0.0.1:0): /metrics, /api/v1/status, /api/v1/cells, /api/v1/events, /debug/pprof; the bound URL is printed to stderr")
-	wallDurations := flag.Bool("wall-durations", false, "record wall-clock durations (window_retrain duration_ns) into telemetry; off by default so default telemetry stays byte-identical across runs, hosts and worker counts")
-	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
+	var tf runner.TelemetryFlags
+	tf.Register(flag.CommandLine, "write per-run trace events and samples as JSONL to this file (lines tagged trace/scheme)")
 	flag.Parse()
 
 	profiles, err := runner.ParseTraces(*tracesFlag)
@@ -66,38 +59,12 @@ func main() {
 		}
 	}
 
-	var coreOpts *core.Options
-	if *wallDurations {
-		o := core.DefaultOptions()
-		o.WallDurations = true
-		coreOpts = &o
-	}
-	var reg *registry.Registry
-	if *listen != "" {
-		reg = registry.New()
-		srv, err := httpd.Serve(*listen, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Stderr so stdout stays parseable; the smoke harness reads the
-		// bound URL off this line. The server lives until process exit.
-		fmt.Fprintf(os.Stderr, "telemetry: listening on %s\n", srv.URL())
-	}
-
-	stopProf, err := prof.Start()
+	tel, err := tf.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var telemetryF *os.File
-	if *telemetry != "" {
-		telemetryF, err = os.Create(*telemetry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	coreOpts, reg, telemetryF, stopProf := tel.CoreOpts, tel.Registry, tel.Sink, tel.StopProf
 	if *telemetryCSV != "" {
 		if err := os.MkdirAll(*telemetryCSV, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -115,7 +82,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-telemetry-csv is not supported with -op-sweep (cell file names do not encode the OP ratio)")
 			os.Exit(1)
 		}
-		code := runOPSweep(profiles, schemes, ops, *driveWrites, *parallel, *cellWorkers, *csvPath, telemetryF, *ringCap, reg, coreOpts)
+		code := runOPSweep(profiles, schemes, ops, *driveWrites, *parallel, *cellWorkers, *csvPath, telemetryF, reg, coreOpts)
 		if telemetryF != nil {
 			if err := telemetryF.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -153,7 +120,7 @@ func main() {
 		}
 		in.SetCellWorkers(*cellWorkers)
 		if observe {
-			cfg := sim.ObserveConfig{RingCap: *ringCap}
+			var cfg sim.ObserveConfig
 			if reg != nil {
 				cfg.Cell = reg.Cell(c.RunTag()) // pre-opened by runner.Run
 			}
@@ -278,7 +245,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s\n", *telemetry)
+		fmt.Printf("wrote %s\n", tf.Path)
 	}
 	if *telemetryCSV != "" {
 		wrote := 0

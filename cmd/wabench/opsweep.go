@@ -46,7 +46,7 @@ const opSweepCSVHeader = "trace,scheme,op,spare_eff,wa,data_wa,user_writes,gc_wr
 // extra-flash-writes-per-user-write WA convention). Returns the process exit
 // code.
 func runOPSweep(profiles []workload.Profile, schemes []sim.Scheme, ops []float64,
-	driveWrites, parallel, cellWorkers int, csvPath string, telemetry *os.File, ringCap int,
+	driveWrites, parallel, cellWorkers int, csvPath string, telemetry *os.File,
 	reg *registry.Registry, coreOpts *core.Options) int {
 	byID := make(map[string]workload.Profile, len(profiles))
 	cells := make([]runner.Cell, 0, len(profiles)*len(ops)*len(schemes))
@@ -70,7 +70,7 @@ func runOPSweep(profiles []workload.Profile, schemes []sim.Scheme, ops []float64
 		}
 		in.SetCellWorkers(cellWorkers)
 		if telemetry != nil || reg != nil {
-			cfg := sim.ObserveConfig{RingCap: ringCap}
+			var cfg sim.ObserveConfig
 			if reg != nil {
 				cfg.Cell = reg.Cell(c.RunTag()) // pre-opened by runner.Run
 			}

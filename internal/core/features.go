@@ -20,13 +20,6 @@ const (
 // one neuron, plus one binary neuron for is_seq.
 const InputDim = digitsPrevLifetime + digitsIOLen + 1 + digitsChunkWrite + digitsChunkRead + digitsRWRat
 
-// TailDim is the width of the feature tail — every dimension except the
-// prev_lifetime digits. The tail depends only on the op stream (request
-// shape plus chunk/global traffic statistics), never on FTL state, which is
-// what lets the pipelined replay front stage precompute it ahead of the FTL
-// (see TailTracker).
-const TailDim = InputDim - digitsPrevLifetime
-
 // MaxLifetimeFeature saturates prev_lifetime for never-written pages.
 const MaxLifetimeFeature = 1<<(4*digitsPrevLifetime) - 1
 
@@ -105,7 +98,7 @@ func (fe *FeatureExtractor) Encode(dst []float64, lpn nand.LPN, prevLifetime uin
 	return fe.EncodeTail(dst, lpn, ioLen, seq)
 }
 
-// EncodeTail appends the TailDim feature-tail values (io_len, is_seq,
+// EncodeTail appends the feature-tail values (io_len, is_seq,
 // chunk_write, chunk_read, rw_rat) for a write to lpn onto dst. Unlike
 // Encode it does not reset dst, so callers can prepend the prev_lifetime
 // digits themselves.

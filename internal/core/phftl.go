@@ -185,13 +185,6 @@ type PHFTL struct {
 	oobBuf   []byte
 	err      error // first internal error (surfaced via Err)
 
-	// stagedTail, when valid, is a precomputed feature tail for the next
-	// user write (pipelined replay front stage, see TailTracker + StageTail).
-	// It replaces only the EncodeTail computation; all of PHFTL's own
-	// statistics bookkeeping proceeds unchanged.
-	stagedTail []float64
-	stagedSet  bool
-
 	// trainer runs the per-window retraining data-parallel over a fixed
 	// number of gradient shards; deployed weights depend on the shard count
 	// only, never on the attached pool (see ml.ShardedTrainer).
@@ -349,15 +342,6 @@ func (p *PHFTL) SetRecorder(r obs.Recorder, clockFn func() uint64) {
 	p.meta.SetRecorder(r, clockFn)
 }
 
-// StageTail hands the next user write's precomputed feature tail (TailDim
-// values, produced by a TailTracker fed the same op stream) to the scheme.
-// The slice must stay valid until the write reaches PlaceUserWrite, which
-// consumes it; it is used for exactly one write.
-func (p *PHFTL) StageTail(tail []float64) {
-	p.stagedTail = tail
-	p.stagedSet = true
-}
-
 // SetParallel attaches (or removes, with nil) the worker pool used for
 // data-parallel window retraining. Deployed weights are bit-identical with
 // and without a pool; only wall-clock changes.
@@ -481,16 +465,7 @@ func (p *PHFTL) PlaceUserWrite(w ftl.UserWrite, clock uint64) (int, []byte) {
 		})
 	}
 
-	x := p.xScratch[:0]
-	x = ml.HexDigits(x, prevLife, digitsPrevLifetime)
-	if p.stagedSet {
-		// The front stage already computed the tail from the op stream; only
-		// the prev_lifetime digits need FTL state.
-		x = append(x, p.stagedTail...)
-		p.stagedSet = false
-	} else {
-		x = p.feat.EncodeTail(x, w.LPN, w.ReqPages, w.Seq)
-	}
+	x := p.feat.Encode(p.xScratch, w.LPN, prevLife, w.ReqPages, w.Seq)
 	p.xScratch = x
 
 	// Device-side prediction: one GRU step from the cached hidden state.

@@ -7,7 +7,6 @@ import (
 	"github.com/phftl/phftl/internal/metrics"
 	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/obs"
-	"github.com/phftl/phftl/internal/par"
 )
 
 // Config parameterizes an FTL instance.
@@ -135,24 +134,6 @@ type FTL struct {
 	// lifecycle, GC, write stalls). Every emit is guarded by a nil check so
 	// the disabled path costs one predictable branch.
 	rec obs.Recorder
-
-	// pool, when non-nil, snapshots GC victims die-parallel (SetParallel).
-	// The migration itself — PPN assignment, map updates, read accounting —
-	// always runs serially in ascending offset order, so collection results
-	// are byte-identical with and without a pool.
-	pool     *par.Pool
-	gcSnaps  []gcPageSnap
-	gcVictim int
-	gcLaneFn func(lane int)
-}
-
-// gcPageSnap is one victim page captured by the parallel snapshot stage. The
-// OOB slice aliases device memory, which stays unmutated until the victim's
-// erase — after the merge loop has consumed every snapshot.
-type gcPageSnap struct {
-	lpn   nand.LPN
-	oob   []byte
-	state nand.PageState
 }
 
 // New assembles an FTL over a fresh device.
@@ -503,53 +484,6 @@ func (f *FTL) maybeGC() error {
 	return nil
 }
 
-// SetParallel installs (or removes, with nil) the worker pool used for
-// die-parallel GC victim snapshots. Switching pools never changes collection
-// results — victim sequences, stats, events and wear are byte-identical —
-// only wall-clock.
-func (f *FTL) SetParallel(p *par.Pool) {
-	f.pool = p
-	if f.gcLaneFn == nil {
-		f.gcLaneFn = f.gcSnapshotLane
-	}
-}
-
-// gcSnapshotLane captures the victim pages of every die assigned to one pool
-// lane (die ≡ lane mod pool size). PeekPage performs no accounting and no
-// hooks, so concurrent lanes never race; the serial merge charges the reads.
-func (f *FTL) gcSnapshotLane(lane int) {
-	geo := f.cfg.Geometry
-	lanes := f.pool.Lanes()
-	for die := lane; die < geo.Dies; die += lanes {
-		for off := die; off < f.dataPages; off += geo.Dies {
-			st, lpn, oob := f.dev.PeekPage(geo.SuperblockPPN(f.gcVictim, off))
-			f.gcSnaps[off] = gcPageSnap{state: st, lpn: lpn, oob: oob}
-		}
-	}
-}
-
-// migratePage relocates one valid victim page: separator placement, program,
-// invalidate, map update, accounting. Shared by the serial and parallel GC
-// paths — both call it in ascending victim offset order.
-func (f *FTL) migratePage(sb *superblock, victimPPN nand.PPN, lpn nand.LPN, oldOOB []byte, class int) error {
-	stream, oob := f.sep.PlaceGCWrite(lpn, oldOOB, class, f.clock)
-	newPPN, err := f.allocPage(stream, class)
-	if err != nil {
-		return err
-	}
-	if err := f.dev.Program(newPPN, lpn, oob); err != nil {
-		return err
-	}
-	if err := f.dev.Invalidate(victimPPN); err != nil {
-		return err
-	}
-	sb.valid--
-	f.l2p[lpn] = newPPN
-	f.stats.GCPageWrites++
-	f.sep.OnPagePlaced(lpn, newPPN, false)
-	return f.closeIfFull(stream)
-}
-
 // collect migrates the victim's valid pages and erases it.
 func (f *FTL) collect(victim int) error {
 	geo := f.cfg.Geometry
@@ -571,45 +505,37 @@ func (f *FTL) collect(victim int) error {
 			A: int64(validAtStart), B: int64(len(f.free)), F0: validRatio,
 		})
 	}
-	if f.pool != nil {
-		// Stage 1 (parallel): snapshot every victim page, partitioned by die.
-		// Stage 2 (serial, ascending offset): charge reads and migrate — the
-		// same order, accounting and placement decisions as the serial path.
-		if len(f.gcSnaps) < f.dataPages {
-			f.gcSnaps = make([]gcPageSnap, f.dataPages)
+	for off := 0; off < f.dataPages; off++ {
+		ppn := geo.SuperblockPPN(victim, off)
+		st, err := f.dev.State(ppn)
+		if err != nil {
+			return err
 		}
-		f.gcVictim = victim
-		f.pool.Run(f.gcLaneFn)
-		for off := 0; off < f.dataPages; off++ {
-			snap := &f.gcSnaps[off]
-			if snap.state != nand.PageValid {
-				continue
-			}
-			ppn := geo.SuperblockPPN(victim, off)
-			f.dev.ChargeRead(ppn)
-			f.stats.GCPageReads++
-			if err := f.migratePage(sb, ppn, snap.lpn, snap.oob, class); err != nil {
-				return err
-			}
+		if st != nand.PageValid {
+			continue
 		}
-	} else {
-		for off := 0; off < f.dataPages; off++ {
-			ppn := geo.SuperblockPPN(victim, off)
-			st, err := f.dev.State(ppn)
-			if err != nil {
-				return err
-			}
-			if st != nand.PageValid {
-				continue
-			}
-			lpn, oldOOB, err := f.dev.Read(ppn)
-			if err != nil {
-				return err
-			}
-			f.stats.GCPageReads++
-			if err := f.migratePage(sb, ppn, lpn, oldOOB, class); err != nil {
-				return err
-			}
+		lpn, oldOOB, err := f.dev.Read(ppn)
+		if err != nil {
+			return err
+		}
+		f.stats.GCPageReads++
+		stream, oob := f.sep.PlaceGCWrite(lpn, oldOOB, class, f.clock)
+		newPPN, err := f.allocPage(stream, class)
+		if err != nil {
+			return err
+		}
+		if err := f.dev.Program(newPPN, lpn, oob); err != nil {
+			return err
+		}
+		if err := f.dev.Invalidate(ppn); err != nil {
+			return err
+		}
+		sb.valid--
+		f.l2p[lpn] = newPPN
+		f.stats.GCPageWrites++
+		f.sep.OnPagePlaced(lpn, newPPN, false)
+		if err := f.closeIfFull(stream); err != nil {
+			return err
 		}
 	}
 	// Invalidate still-valid meta pages so the erase precondition holds.

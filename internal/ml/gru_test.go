@@ -133,8 +133,8 @@ func TestTrainLearnsSequenceTask(t *testing.T) {
 	opt := NewAdam(0.01)
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 12
-	TrainEpochs(n, train, opt, cfg)
-	acc := EvalAccuracy(n, test)
+	TrainModel(n, train, opt, cfg)
+	acc := EvalModelAccuracy(n, test)
 	if acc < 0.85 {
 		t.Fatalf("test accuracy %.3f, want >= 0.85", acc)
 	}
@@ -154,28 +154,28 @@ func TestTrainReducesLoss(t *testing.T) {
 	n := NewGRUNet(1, 6, 2, rng)
 	opt := NewAdam(0.02)
 	cfg := DefaultTrainConfig()
-	first := TrainEpochs(n, samples, opt, cfg)
+	first := TrainModel(n, samples, opt, cfg)
 	var last float64
 	for i := 0; i < 20; i++ {
-		last = TrainEpochs(n, samples, opt, cfg)
+		last = TrainModel(n, samples, opt, cfg)
 	}
 	if last >= first {
 		t.Fatalf("loss did not decrease: first %.4f, last %.4f", first, last)
 	}
 }
 
-func TestTrainEpochsEmptyAndDegenerate(t *testing.T) {
+func TestTrainModelEmptyAndDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n := NewGRUNet(2, 4, 2, rng)
 	opt := NewAdam(0.01)
-	if loss := TrainEpochs(n, nil, opt, DefaultTrainConfig()); loss != 0 {
+	if loss := TrainModel(n, nil, opt, DefaultTrainConfig()); loss != 0 {
 		t.Errorf("empty training loss = %v", loss)
 	}
 	// Empty sequences are skipped without panicking.
 	samples := []Sample{{Seq: nil, Label: 0}, {Seq: [][]float64{{1, 2}}, Label: 1}}
-	TrainEpochs(n, samples, opt, DefaultTrainConfig())
-	if EvalAccuracy(n, nil) != 0 {
-		t.Error("EvalAccuracy(nil) should be 0")
+	TrainModel(n, samples, opt, DefaultTrainConfig())
+	if EvalModelAccuracy(n, nil) != 0 {
+		t.Error("EvalModelAccuracy(nil) should be 0")
 	}
 }
 
@@ -282,40 +282,6 @@ func BenchmarkGRUTrainSample(b *testing.B) {
 	cfg := DefaultTrainConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainEpochs(n, samples, opt, cfg)
-	}
-}
-
-func TestTrainModelMatchesTrainEpochsForGRU(t *testing.T) {
-	// TrainModel (interface path) and TrainEpochs (GRU fast path) implement
-	// the same algorithm; with identical seeds they must produce identical
-	// weights.
-	rng1 := rand.New(rand.NewSource(99))
-	rng2 := rand.New(rand.NewSource(99))
-	a := NewGRUNet(2, 4, 2, rng1)
-	b := NewGRUNet(2, 4, 2, rng2)
-	var samples []Sample
-	srng := rand.New(rand.NewSource(5))
-	for i := 0; i < 60; i++ {
-		x := srng.Float64()
-		label := 0
-		if x > 0.5 {
-			label = 1
-		}
-		samples = append(samples, Sample{Seq: [][]float64{{x, srng.Float64()}}, Label: label})
-	}
-	cfg := DefaultTrainConfig()
-	lossA := TrainEpochs(a, samples, NewAdam(0.01), cfg)
-	lossB := TrainModel(b, samples, NewAdam(0.01), cfg)
-	if math.Abs(lossA-lossB) > 1e-12 {
-		t.Fatalf("losses diverge: %v vs %v", lossA, lossB)
-	}
-	for ti := range a.Params() {
-		pa, pb := a.Params()[ti], b.Params()[ti]
-		for j := range pa.Data {
-			if math.Abs(pa.Data[j]-pb.Data[j]) > 1e-12 {
-				t.Fatalf("weights diverge at tensor %d elem %d", ti, j)
-			}
-		}
+		TrainModel(n, samples, opt, cfg)
 	}
 }

@@ -96,8 +96,10 @@ func SyncModel(dst, src SequenceModel, quantize bool) bool {
 	return true
 }
 
-// TrainModel trains any SequenceModel on the samples with Adam, mirroring
-// TrainEpochs (which remains for the GRU fast path).
+// TrainModel trains any SequenceModel in place on the samples with Adam and
+// returns the mean loss of the final epoch. The program trains through
+// ShardedTrainer; this single-fold schedule is the reference its tests
+// compare against.
 func TrainModel(m SequenceModel, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -65,7 +65,7 @@ func TestQuantizedModelAgreesWithFloat(t *testing.T) {
 	}
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 5
-	TrainEpochs(n, samples, NewAdam(0.01), cfg)
+	TrainModel(n, samples, NewAdam(0.01), cfg)
 
 	q := n.Quantize()
 	agree := 0

@@ -102,80 +102,6 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: 1}
 }
 
-// TrainEpochs trains the network in place on the samples and returns the
-// mean loss of the final epoch.
-func TrainEpochs(n *GRUNet, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
-	epochs := cfg.Epochs
-	if epochs <= 0 {
-		epochs = 1
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 32
-	}
-	lastLoss := 0.0
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		total := 0.0
-		inBatch := 0
-		n.ZeroGrad()
-		for _, idx := range order {
-			s := samples[idx]
-			if len(s.Seq) == 0 {
-				continue
-			}
-			traces, h := n.forward(s.Seq)
-			logits := n.Logits(h)
-			loss, dLogits := SoftmaxCrossEntropy(logits, s.Label)
-			total += loss
-			outerAddGrad(n.Wout, dLogits, h)
-			addGrad(n.Bout, dLogits)
-			n.ensureTrainScratch()
-			dh := n.dhScratch
-			for i := range dh {
-				dh[i] = 0
-			}
-			matTVecAdd(n.Wout, dLogits, dh)
-			n.backward(traces, dh)
-			inBatch++
-			if inBatch == batch {
-				opt.Update(n.Params(), inBatch)
-				n.ZeroGrad()
-				inBatch = 0
-			}
-		}
-		if inBatch > 0 {
-			opt.Update(n.Params(), inBatch)
-			n.ZeroGrad()
-		}
-		lastLoss = total / float64(len(order))
-	}
-	return lastLoss
-}
-
-// EvalAccuracy returns the fraction of samples whose argmax prediction
-// matches the label.
-func EvalAccuracy(n *GRUNet, samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		if n.Predict(s.Seq) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
-}
-
 // ResampleBalanced returns a class-balanced subset of samples (paper,
 // Algorithm 1: "label and resample to a small, balanced training set"),
 // undersampling the majority class, capped at maxPerClass per class.

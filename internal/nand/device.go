@@ -289,32 +289,6 @@ func (d *Device) ReadFull(p PPN) (LPN, []byte, []byte, error) {
 	return d.lpn[p], d.pages[p].data, d.pages[p].oob, nil
 }
 
-// PeekPage returns a page's state, logical identity and OOB payload without
-// charging a flash read: no stats are counted and no hooks fire. It is the
-// side-effect-free read used by the parallel GC snapshot phase, where worker
-// lanes inspect a victim's pages concurrently and the owning FTL charges the
-// reads afterwards (ChargeRead) in deterministic merge order. The returned
-// OOB slice aliases device memory and must not be modified. PPNs out of range
-// panic; callers iterate geometry-derived offsets that cannot miss.
-//
-// Concurrent PeekPage calls are safe with each other but not with any
-// mutating operation; the caller must quiesce programs/erases first.
-func (d *Device) PeekPage(p PPN) (PageState, LPN, []byte) {
-	return d.state[p], d.lpn[p], d.pages[p].oob
-}
-
-// ChargeRead accounts one flash read of a page whose content was obtained
-// earlier via PeekPage: it bumps the read counter and fires the op hook,
-// exactly as Read would have, without touching page content. Pairing
-// PeekPage (parallel, unaccounted) with ChargeRead (serial, in merge order)
-// keeps device stats and hook ordering byte-identical to the serial path.
-func (d *Device) ChargeRead(p PPN) {
-	d.stats.Reads++
-	if d.onOp != nil {
-		d.onOp(OpRead, p)
-	}
-}
-
 // Invalidate marks a valid page as stale (its logical page was overwritten or
 // trimmed).
 func (d *Device) Invalidate(p PPN) error {

@@ -193,26 +193,25 @@ func TestFlatLayoutAddressing(t *testing.T) {
 		check := func(p PPN, want PageState) {
 			t.Helper()
 			st, err := d.State(p)
-			peekSt, peekLPN, peekOOB := d.PeekPage(p)
-			if err != nil || st != want || peekSt != want {
-				t.Fatalf("ppn %d: State = %v, %v; PeekPage state = %v; want %v", p, st, err, peekSt, want)
+			if err != nil || st != want {
+				t.Fatalf("ppn %d: State = %v, %v; want %v", p, st, err, want)
 			}
 			if want == PageFree {
 				if _, err := d.LPNAt(p); !errors.Is(err, ErrReadFree) {
 					t.Fatalf("ppn %d: LPNAt of a free page: err = %v", p, err)
 				}
-				if peekLPN != 0 || len(peekOOB) != 0 {
-					t.Fatalf("ppn %d: free page keeps lpn %d, oob %v", p, peekLPN, peekOOB)
+				if d.lpn[p] != 0 || len(d.pages[p].oob) != 0 {
+					t.Fatalf("ppn %d: free page keeps lpn %d, oob %v", p, d.lpn[p], d.pages[p].oob)
 				}
 				return
 			}
 			lpn, oob, err := d.Read(p)
 			at, atErr := d.LPNAt(p)
-			if err != nil || atErr != nil || lpn != lpnOf(p) || at != lpn || peekLPN != lpn {
-				t.Fatalf("ppn %d: Read lpn %d (%v), LPNAt %d (%v), PeekPage %d; want %d", p, lpn, err, at, atErr, peekLPN, lpnOf(p))
+			if err != nil || atErr != nil || lpn != lpnOf(p) || at != lpn {
+				t.Fatalf("ppn %d: Read lpn %d (%v), LPNAt %d (%v); want %d", p, lpn, err, at, atErr, lpnOf(p))
 			}
-			if len(oob) != 2 || oob[0] != byte(p) || oob[1] != byte(p>>8) || string(peekOOB) != string(oob) {
-				t.Fatalf("ppn %d: Read oob %v, PeekPage oob %v", p, oob, peekOOB)
+			if len(oob) != 2 || oob[0] != byte(p) || oob[1] != byte(p>>8) {
+				t.Fatalf("ppn %d: Read oob %v", p, oob)
 			}
 		}
 		for sb := 0; sb < g.Superblocks(); sb++ {

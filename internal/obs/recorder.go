@@ -92,17 +92,6 @@ func DefaultRingPolicy() RingPolicy {
 	return p
 }
 
-// UniformRingPolicy bounds every kind (including the rare ones) at cap
-// events, keeping the default sampling rates. It backs the deprecated
-// -ring-cap flag, whose one-size semantics predate per-kind rings.
-func UniformRingPolicy(cap int) RingPolicy {
-	p := DefaultRingPolicy()
-	for k := range p {
-		p[k].Cap = cap
-	}
-	return p
-}
-
 // slot is one retained event plus its global record sequence number, which
 // lets Events() re-merge the per-kind rings into record order.
 type slot struct {
@@ -174,27 +163,20 @@ type TraceRecorder struct {
 	counts [numKinds]atomic.Uint64
 }
 
-// DefaultRingCapacity is the bounded-ring capacity the deprecated one-size
-// constructor path (NewTraceRecorder with capacity > 0 unset) used for
-// every kind; it survives as the catch-all ring's default size.
+// DefaultRingCapacity sizes the catch-all ring for unknown kinds.
 const DefaultRingCapacity = 1 << 16
 
-// NewTraceRecorder creates a recorder. capacity <= 0 selects
-// DefaultRingPolicy (lossless rare kinds, sampled hot kinds); capacity > 0
-// is the deprecated one-size path and bounds every kind's ring at capacity
-// events (rounded up to a power of two), keeping default sampling.
+// NewTraceRecorder creates a recorder under DefaultRingPolicy (lossless rare
+// kinds, sampled hot kinds). capacity > 0 instead bounds every kind's ring at
+// capacity events (rounded up to a power of two), keeping the default
+// sampling rates.
 func NewTraceRecorder(capacity int) *TraceRecorder {
-	if capacity <= 0 {
-		return NewTraceRecorderWithPolicy(DefaultRingPolicy())
-	}
-	return NewTraceRecorderWithPolicy(UniformRingPolicy(capacity))
-}
-
-// NewTraceRecorderWithPolicy creates a recorder with explicit per-kind
-// sizing.
-func NewTraceRecorderWithPolicy(pol RingPolicy) *TraceRecorder {
+	pol := DefaultRingPolicy()
 	r := &TraceRecorder{}
 	for k := range r.rings {
+		if capacity > 0 {
+			pol[k].Cap = capacity
+		}
 		r.rings[k].init(pol[k])
 	}
 	return r

@@ -144,7 +144,7 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, ", %d thinned by per-kind sampling (counters exact)", r.EventsSampledOut)
 	}
 	if r.EventsDropped > 0 {
-		fmt.Fprintf(&b, ", %d dropped by ring wraparound — raise the event-ring capacity (-ring-cap)", r.EventsDropped)
+		fmt.Fprintf(&b, ", %d dropped by wraparound of the bounded meta-cache rings (counters exact)", r.EventsDropped)
 	}
 	fmt.Fprintf(&b, ", %d samples)\n", r.Samples)
 	fmt.Fprintf(&b, "  gc collections       %d (%d pages migrated, valid-ratio p50 %.2f p99 %.2f)\n",

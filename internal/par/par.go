@@ -5,8 +5,8 @@
 // single-threaded invariants hold again at return.
 //
 // Determinism is the design constraint, not a side effect: callers partition
-// work by a fixed structural key (die number, shard index) — never by "next
-// free worker" — and apply results in a fixed merge order after Run returns.
+// work by a fixed structural key (the retrainer's shard index) — never by
+// "next free worker" — and apply results in a fixed merge order after Run returns.
 // The pool itself allocates nothing per Run, so parallel phases preserve the
 // steady-state zero-allocation invariant of the replay hot path.
 package par

@@ -71,12 +71,13 @@ type Output struct {
 	Err     error
 }
 
-// WarnDropped prints one stderr-style warning line per cell whose event ring
-// overflowed, so lossy telemetry never goes unnoticed in harness output.
+// WarnDropped prints one stderr-style warning line per cell whose bounded
+// event rings wrapped, so lossy telemetry never goes unnoticed in harness
+// output.
 func WarnDropped(w io.Writer, outs []Output) {
 	for _, out := range outs {
 		if out.Dropped > 0 {
-			fmt.Fprintf(w, "warning: %s: event ring dropped %d events; raise -ring-cap for a lossless trace\n",
+			fmt.Fprintf(w, "warning: %s: bounded event rings overwrote %d events (the 1/16-sampled meta-cache kinds; rare kinds are lossless, counters exact)\n",
 				out.Cell.RunTag(), out.Dropped)
 		}
 	}

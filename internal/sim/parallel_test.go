@@ -3,8 +3,11 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/phftl/phftl/internal/core"
 	"github.com/phftl/phftl/internal/obs"
 	"github.com/phftl/phftl/internal/trace"
 	"github.com/phftl/phftl/internal/workload"
@@ -12,8 +15,7 @@ import (
 
 // parallelProfiles are the two traces the intra-cell determinism suite runs:
 // the uniform-churn profile the rest of the package uses plus the hot/cold
-// golden trace, with a trim twin mixed in so the pipeline's trim path is
-// exercised too.
+// golden trace, with a trim twin mixed in so trims are exercised too.
 func parallelProfiles() []workload.Profile {
 	p1 := smallProfile()
 	p2, ok := workload.ProfileByID("#52")
@@ -38,9 +40,6 @@ func runCell(t *testing.T, scheme Scheme, p workload.Profile, workers, dw int) (
 		t.Fatalf("%s/%s: %v", scheme, p.ID, err)
 	}
 	in.SetCellWorkers(workers)
-	if got := in.CellWorkers(); got != workers && !(workers < 1 && got == 1) {
-		t.Fatalf("CellWorkers() = %d after SetCellWorkers(%d)", got, workers)
-	}
 	o := Observe(in, ObserveConfig{})
 	res, err := RunOn(in, p, dw)
 	if err != nil {
@@ -66,11 +65,11 @@ func victims(events []obs.Event) []int32 {
 	return v
 }
 
-// TestCellWorkersDeterminism is the tentpole acceptance test: for every
-// (trace, scheme) cell, replaying with -cell-workers 2 and 4 must produce
-// results, event streams, GC victim sequences and telemetry samples
-// byte-identical to the serial replay. Under -race this doubles as the data
-// -race check on the pipeline, parallel GC and sharded retrainer.
+// TestCellWorkersDeterminism pins the -cell-workers contract: for every
+// (trace, scheme) cell, replaying with 2 and 4 workers must produce results,
+// event streams, GC victim sequences and telemetry samples byte-identical to
+// the serial replay. Under -race this doubles as the data-race check on the
+// pooled sharded retrainer.
 func TestCellWorkersDeterminism(t *testing.T) {
 	const dw = 2
 	for _, p := range parallelProfiles() {
@@ -100,67 +99,63 @@ func TestCellWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestCellWorkersReplayStream pins the pipelined ReplayStream path against
-// the serial one (RunOn covers the generator path; this covers record
-// sources, including trims).
-func TestCellWorkersReplayStream(t *testing.T) {
-	p := smallProfile()
-	p.TrimFrac, p.TrimRunPages, p.SeqTrimLagPages = 0.05, 32, 128
-	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
-	records := p.NewGenerator().Records(2 * p.ExportedPages)
-
-	serial, err := Build(SchemePHFTL, geo, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.ReplayStream(&sliceSource{recs: records}, p.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	serial.Finish()
-
-	piped, err := Build(SchemePHFTL, geo, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piped.SetCellWorkers(4)
-	if err := piped.ReplayStream(&sliceSource{recs: records}, p.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	piped.Finish()
-
-	if a, b := serial.FTL.Stats(), piped.FTL.Stats(); a != b {
-		t.Fatalf("stats diverge:\nserial: %+v\npiped:  %+v", a, b)
-	}
-	if a, b := serial.PHFTL.Confusion().Total(), piped.PHFTL.Confusion().Total(); a != b {
-		t.Fatalf("confusion totals diverge: %d vs %d", a, b)
-	}
-	if a, b := serial.PHFTL.Threshold(), piped.PHFTL.Threshold(); a != b {
-		t.Fatalf("thresholds diverge: %v vs %v", a, b)
-	}
-}
-
-// TestCellWorkersErrorPropagates checks the pipeline's abort protocol: a
-// producer error must surface from the pipelined replay exactly as it does
-// serially, without deadlocking the front stage.
+// TestCellWorkersErrorPropagates pins that a record source's error surfaces
+// from ReplayStream unwrapped at any worker count, and that the instance
+// replays cleanly afterwards.
 func TestCellWorkersErrorPropagates(t *testing.T) {
 	p := smallProfile()
 	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
-	in, err := Build(SchemeBase, geo, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.SetCellWorkers(2)
 	wantErr := fmt.Errorf("source went away")
 	records := p.NewGenerator().Records(p.ExportedPages / 2)
-	src := &failingSource{recs: records, failAfter: len(records) / 2, err: wantErr}
-	if err := in.ReplayStream(src, p.PageSize); err != wantErr {
-		t.Fatalf("ReplayStream error = %v, want %v", err, wantErr)
+	for _, workers := range []int{1, 2} {
+		in, err := Build(SchemePHFTL, geo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.SetCellWorkers(workers)
+		src := &failingSource{recs: records, failAfter: len(records) / 2, err: wantErr}
+		if err := in.ReplayStream(src, p.PageSize); err != wantErr {
+			t.Fatalf("workers=%d: ReplayStream error = %v, want %v", workers, err, wantErr)
+		}
+		if err := in.ReplayStream(&sliceSource{recs: records}, p.PageSize); err != nil {
+			t.Fatalf("workers=%d: replay after the failed source: %v", workers, err)
+		}
+		in.Finish()
+		if err := in.FTL.CheckInvariants(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 	}
-	in.Finish()
-	// The instance must remain usable serially after the abort.
-	in.SetCellWorkers(1)
-	if err := in.ReplayStream(&sliceSource{recs: records}, p.PageSize); err != nil {
-		t.Fatalf("post-abort serial replay: %v", err)
+}
+
+// TestSetCellWorkersBoundsGoroutines pins that a hostile worker count (the
+// fleet API forwards cell_workers unchecked) cannot start more goroutines
+// than the retrainer has shards, that a scheme without a trainer starts none,
+// and that Finish stops them.
+func TestSetCellWorkersBoundsGoroutines(t *testing.T) {
+	p := smallProfile()
+	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
+	for _, tc := range []struct {
+		scheme Scheme
+		max    int
+	}{{SchemePHFTL, core.TrainerLanes - 1}, {SchemeBase, 0}} {
+		in, err := Build(tc.scheme, geo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		in.SetCellWorkers(1 << 14)
+		if grew := runtime.NumGoroutine() - before; grew > tc.max {
+			t.Errorf("%s: SetCellWorkers(1<<14) started %d goroutines, want <= %d", tc.scheme, grew, tc.max)
+		}
+		in.Finish()
+		// Helpers exit on their own goroutines after Finish closes the pool.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if left := runtime.NumGoroutine() - before; left > 0 {
+			t.Errorf("%s: %d goroutines still running after Finish", tc.scheme, left)
+		}
 	}
 }
 

@@ -81,42 +81,38 @@ type Instance struct {
 	// periodic samples during Replay/RunOn.
 	Obs *Observation
 
-	// cellWorkers/pool implement intra-cell parallelism (SetCellWorkers):
-	// a front-stage goroutine pipelines trace expansion + feature encoding
-	// ahead of the FTL, and the pool parallelizes GC victim snapshots and
-	// window retraining. 0 or 1 = fully serial (the historical behavior).
-	cellWorkers int
-	pool        *par.Pool
+	// pool runs PHFTL's window retraining shard-parallel (SetCellWorkers);
+	// nil = serial.
+	pool *par.Pool
 }
 
-// SetCellWorkers configures intra-cell parallelism for subsequent replays.
-// n <= 1 runs fully serial — byte-identical to the historical single-threaded
-// replay. n >= 2 runs the pipelined replay with an n-lane worker pool wired
-// into the FTL's GC and (for PHFTL) the scheme's window retrainer. Results
-// are byte-identical for every n; only wall-clock changes. Call before
-// Replay/RunOn/ReplayStream; Finish releases the pool.
+// SetCellWorkers sets how many goroutines retrain PHFTL's classifier at each
+// window end: the retrainer's core.TrainerLanes gradient shards are spread
+// over n lanes. Values above TrainerLanes would only park idle goroutines and
+// are clamped to it; n <= 1, and any n on a scheme without a trainer
+// (Base/2R/SepBIT), builds no pool. Results are byte-identical for every n;
+// only wall-clock changes. Call before Replay/RunOn/ReplayStream; Finish
+// releases the pool.
 func (in *Instance) SetCellWorkers(n int) {
-	if n < 1 {
-		n = 1
+	in.closePool()
+	if in.PHFTL == nil {
+		return
 	}
-	if in.pool != nil {
-		in.pool.Close()
-		in.pool = nil
+	if n > core.TrainerLanes {
+		n = core.TrainerLanes
 	}
-	in.cellWorkers = n
-	in.pool = par.New(n) // nil when n == 1
-	in.FTL.SetParallel(in.pool)
-	if in.PHFTL != nil {
-		in.PHFTL.SetParallel(in.pool)
-	}
+	in.pool = par.New(n) // nil when n <= 1
+	in.PHFTL.SetParallel(in.pool)
 }
 
-// CellWorkers returns the configured intra-cell worker count (minimum 1).
-func (in *Instance) CellWorkers() int {
-	if in.cellWorkers < 1 {
-		return 1
+// closePool detaches and stops the retraining pool, if any.
+func (in *Instance) closePool() {
+	if in.pool == nil {
+		return
 	}
-	return in.cellWorkers
+	in.PHFTL.SetParallel(nil)
+	in.pool.Close()
+	in.pool = nil
 }
 
 // Observation couples a trace recorder and a gauge sampler to an instance.
@@ -142,11 +138,6 @@ type Observation struct {
 
 // ObserveConfig sizes an Observation. Zero values select defaults.
 type ObserveConfig struct {
-	// RingCap, when positive, bounds every per-kind event ring at that
-	// capacity (the deprecated -ring-cap uniform policy). Zero selects
-	// obs.DefaultRingPolicy: lossless rings for rare kinds, bounded sampled
-	// rings for the hot meta-cache kinds.
-	RingCap int
 	// SampleEvery is the sampling interval in user-page writes (default:
 	// 1/64th of the exported capacity, floored at 64 pages).
 	SampleEvery uint64
@@ -170,7 +161,7 @@ func Observe(in *Instance, cfg ObserveConfig) *Observation {
 			every = 64
 		}
 	}
-	o := &Observation{Rec: obs.NewTraceRecorder(cfg.RingCap)}
+	o := &Observation{Rec: obs.NewTraceRecorder(0)}
 	// The live-registry cell (if any) sees the same event stream as the
 	// buffered recorder. The typed-nil guard matters: a nil *registry.Cell
 	// wrapped in the Recorder interface would not compare equal to nil.
@@ -388,16 +379,11 @@ func (in *Instance) replayOp(op trace.PageOp, exported int) error {
 
 // Replay drives page-level operations through the instance.
 func (in *Instance) Replay(ops []trace.PageOp) error {
-	err := in.runOps(func(yield func(trace.PageOp) error) error {
-		for _, op := range ops {
-			if err := yield(op); err != nil {
-				return err
-			}
+	exported := in.FTL.ExportedPages()
+	for _, op := range ops {
+		if err := in.replayOp(op, exported); err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	if in.PHFTL != nil {
 		if err := in.PHFTL.Err(); err != nil {
@@ -413,23 +399,20 @@ func (in *Instance) Replay(ops []trace.PageOp) error {
 // page size (records are byte-addressed); drivePages for LPN wrapping is the
 // profile-independent exported capacity of the instance itself.
 func (in *Instance) ReplayStream(src trace.RecordSource, pageSize int) error {
-	e := trace.NewExpander(pageSize, in.FTL.ExportedPages())
-	err := in.runOps(func(yield func(trace.PageOp) error) error {
-		for {
-			rec, err := src.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := e.Expand(rec, yield); err != nil {
-				return err
-			}
+	exported := in.FTL.ExportedPages()
+	e := trace.NewExpander(pageSize, exported)
+	yield := func(op trace.PageOp) error { return in.replayOp(op, exported) }
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
 		}
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
+		if err := e.Expand(rec, yield); err != nil {
+			return err
+		}
 	}
 	if in.PHFTL != nil {
 		if err := in.PHFTL.Err(); err != nil {
@@ -440,17 +423,10 @@ func (in *Instance) ReplayStream(src trace.RecordSource, pageSize int) error {
 }
 
 // Finish resolves outstanding classifier predictions, takes the final
-// observation sample, and releases the intra-cell worker pool (safe because
-// pooled and serial execution produce identical results).
+// observation sample, and releases the retraining pool (safe because pooled
+// and serial training produce identical weights).
 func (in *Instance) Finish() {
-	if in.pool != nil {
-		in.pool.Close()
-		in.pool = nil
-		in.FTL.SetParallel(nil)
-		if in.PHFTL != nil {
-			in.PHFTL.SetParallel(nil)
-		}
-	}
+	in.closePool()
 	if in.PHFTL != nil {
 		in.PHFTL.Finish(in.FTL.Clock())
 	}
@@ -504,28 +480,25 @@ func RunOnCtx(ctx context.Context, in *Instance, p workload.Profile, driveWrites
 	// Background and other never-cancelled contexts report a nil Done channel:
 	// skip the select entirely so plain RunOn keeps its historical hot loop.
 	done := ctx.Done()
-	err := in.runOps(func(yield func(trace.PageOp) error) error {
-		for gen.PageWrites() < target {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			if err := e.Expand(gen.Next(), yield); err != nil {
-				return err
+	exported := in.FTL.ExportedPages()
+	yield := func(op trace.PageOp) error { return in.replayOp(op, exported) }
+	var err error
+	for err == nil && gen.PageWrites() < target {
+		if done != nil {
+			select {
+			case <-done:
+				err = ctx.Err()
+				continue
+			default:
 			}
 		}
-		return nil
-	})
+		err = e.Expand(gen.Next(), yield)
+	}
+	if err == nil && in.PHFTL != nil {
+		err = in.PHFTL.Err()
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: %s on %s: %w", in.Scheme, p.ID, err)
-	}
-	if in.PHFTL != nil {
-		if err := in.PHFTL.Err(); err != nil {
-			return Result{}, fmt.Errorf("sim: %s on %s: %w", in.Scheme, p.ID, err)
-		}
 	}
 	in.Finish()
 	res := Result{
