@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden golden-check
+.PHONY: check vet build test race fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check
 
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
-check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke golden-check bench-quick
+check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check bench-quick
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +71,13 @@ http-smoke:
 ## exactly once through limit-truncated pages (the cursor-loss regression).
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetSmoke' -count=1 -v ./cmd/phftld
+
+## csv-smoke: the trace-file gate under -race — the CSV tracegen writes for
+## #52 × 2 dw, replayed by phftlsim -csv at the profile's page count, must
+## print the same measurements as phftlsim -trace "#52" -dw 2: the file arm
+## and the generator arm share one executor and one streaming replay loop.
+csv-smoke:
+	$(GO) test -race -run 'TestCSVSmoke' -count=1 -v ./cmd/phftlsim
 
 ## Golden-curve regression harness: checked-in per-cell sample CSVs
 ## (the wabench -telemetry-csv format) for GOLDEN_TRACES × {Base,PHFTL} at

@@ -199,7 +199,7 @@ func BenchmarkFig7Bandwidth(b *testing.B) {
 	var stock, phftl float64
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []sim.Scheme{sim.SchemeBase, sim.SchemePHFTL} {
-			m, err := perfsim.NewMachine(scheme, geo, perfsim.DefaultTiming(), nil)
+			m, err := perfsim.NewMachine(scheme, geo, perfsim.DefaultTiming())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func BenchmarkFig7Latency(b *testing.B) {
 	var stock, phftl perfsim.LatencyStats
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []sim.Scheme{sim.SchemeBase, sim.SchemePHFTL} {
-			m, err := perfsim.NewMachine(scheme, geo, perfsim.DefaultTiming(), nil)
+			m, err := perfsim.NewMachine(scheme, geo, perfsim.DefaultTiming())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -73,7 +73,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	coreOpts, reg, telemetryF, stopProf := tel.CoreOpts, tel.Registry, tel.Sink, tel.StopProf
 
 	// Adjust every profile up front: apply the size override and scale the
 	// open-loop arrival rate to the profile's mean request size so every
@@ -107,21 +106,17 @@ func main() {
 			})
 		}
 	}
-	sink := telemetryF != nil
-	observe := sink || reg != nil
+	sink := tel.Sink != nil
 	run := func(c runner.Cell) (runner.Output, error) {
 		p := byID[c.Trace]
 		geo := sim.GeometryForDrive(p.ExportedPages, p.PageSize)
-		m, err := perfsim.NewMachine(c.Scheme, geo, perfsim.DefaultTiming(), coreOpts)
+		m, err := perfsim.NewMachine(c.Scheme, geo, perfsim.DefaultTiming())
 		if err != nil {
 			return runner.Output{}, err
 		}
-		if observe {
-			var cfg sim.ObserveConfig
-			if reg != nil {
-				cfg.Cell = reg.Cell(c.RunTag()) // pre-opened by runner.Run
-			}
-			m.Observe(sim.Observe(m.In, cfg))
+		o := runner.Observe(m.In, tel.Cell(c), 0, sink)
+		if o != nil {
+			m.Observe(o)
 		}
 		gen := p.NewGenerator()
 		load := gen.Records(*driveWrites * p.ExportedPages)
@@ -135,21 +130,15 @@ func main() {
 			return runner.Output{}, err
 		}
 		out := runner.Output{Extra: phaseOut{bw: bw, stats: stats}}
-		if observe {
-			m.In.Obs.Finish(m.In.FTL.Clock())
+		if o != nil {
+			o.Finish(m.In.FTL.Clock())
 		}
 		if sink {
-			out.Events = m.In.Obs.Rec.Events()
-			out.Samples = m.In.Obs.Sampler.Series()
-			out.Dropped = m.In.Obs.Rec.Dropped()
+			out.Collect(m.In)
 		}
 		return out, nil
 	}
-	opts := runner.Options{Parallel: *parallel, Progress: os.Stderr, Registry: reg}
-	if telemetryF != nil {
-		opts.Telemetry = telemetryF
-	}
-	outs, runErr := runner.Run(cells, run, opts)
+	outs, runErr := runner.Run(cells, run, tel.Options(*parallel))
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 	}
@@ -219,16 +208,12 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if telemetryF != nil {
-		if err := telemetryF.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", tf.Path)
-	}
-	if err := stopProf(); err != nil {
+	if err := tel.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if tel.Sink != nil {
+		fmt.Printf("wrote %s\n", tf.Path)
 	}
 	if runErr != nil {
 		os.Exit(1)

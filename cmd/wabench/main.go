@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -64,7 +65,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	coreOpts, reg, telemetryF, stopProf := tel.CoreOpts, tel.Registry, tel.Sink, tel.StopProf
 	if *telemetryCSV != "" {
 		if err := os.MkdirAll(*telemetryCSV, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -82,14 +82,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-telemetry-csv is not supported with -op-sweep (cell file names do not encode the OP ratio)")
 			os.Exit(1)
 		}
-		code := runOPSweep(profiles, schemes, ops, *driveWrites, *parallel, *cellWorkers, *csvPath, telemetryF, reg, coreOpts)
-		if telemetryF != nil {
-			if err := telemetryF.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				code = 1
-			}
-		}
-		if err := stopProf(); err != nil {
+		code := runOPSweep(profiles, schemes, ops, *driveWrites, *parallel, *cellWorkers, *csvPath, tel)
+		if err := tel.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
 		}
@@ -109,40 +103,15 @@ func main() {
 	}
 	// File sinks need the buffered events/samples carried back through the
 	// runner; the live registry needs only the Observe bridge.
-	sink := telemetryF != nil || *telemetryCSV != ""
-	observe := sink || reg != nil
+	sink := tel.Sink != nil || *telemetryCSV != ""
 	run := func(c runner.Cell) (runner.Output, error) {
-		p := byID[c.Trace]
-		geo := sim.GeometryForDrive(p.ExportedPages, p.PageSize)
-		in, err := sim.Build(c.Scheme, geo, coreOpts)
-		if err != nil {
-			return runner.Output{}, err
-		}
-		in.SetCellWorkers(*cellWorkers)
-		if observe {
-			var cfg sim.ObserveConfig
-			if reg != nil {
-				cfg.Cell = reg.Cell(c.RunTag()) // pre-opened by runner.Run
-			}
-			sim.Observe(in, cfg)
-		}
-		res, err := sim.RunOn(in, p, *driveWrites)
-		if err != nil {
-			return runner.Output{}, err
-		}
-		out := runner.Output{Result: res}
-		if sink {
-			out.Events = in.Obs.Rec.Events()
-			out.Samples = in.Obs.Sampler.Series()
-			out.Dropped = in.Obs.Rec.Dropped()
-		}
-		return out, nil
+		_, out, err := runner.Exec(context.Background(), runner.Job{
+			Cell: c, Profile: byID[c.Trace], DriveWrites: *driveWrites,
+			Workers: *cellWorkers, Live: tel.Cell(c), Sink: sink,
+		})
+		return out, err
 	}
-	opts := runner.Options{Parallel: *parallel, Progress: os.Stderr, Registry: reg}
-	if telemetryF != nil {
-		opts.Telemetry = telemetryF
-	}
-	outs, runErr := runner.Run(cells, run, opts)
+	outs, runErr := runner.Run(cells, run, tel.Options(*parallel))
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 	}
@@ -240,11 +209,11 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *csvPath)
 	}
-	if telemetryF != nil {
-		if err := telemetryF.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if err := tel.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if tel.Sink != nil {
 		fmt.Printf("wrote %s\n", tf.Path)
 	}
 	if *telemetryCSV != "" {
@@ -268,10 +237,6 @@ func main() {
 			wrote++
 		}
 		fmt.Printf("wrote %d sample CSVs to %s\n", wrote, *telemetryCSV)
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 	if runErr != nil {
 		os.Exit(1)

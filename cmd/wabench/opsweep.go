@@ -1,13 +1,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"github.com/phftl/phftl/internal/core"
-	"github.com/phftl/phftl/internal/obs/registry"
 	"github.com/phftl/phftl/internal/runner"
 	"github.com/phftl/phftl/internal/sim"
 	"github.com/phftl/phftl/internal/workload"
@@ -46,8 +45,7 @@ const opSweepCSVHeader = "trace,scheme,op,spare_eff,wa,data_wa,user_writes,gc_wr
 // extra-flash-writes-per-user-write WA convention). Returns the process exit
 // code.
 func runOPSweep(profiles []workload.Profile, schemes []sim.Scheme, ops []float64,
-	driveWrites, parallel, cellWorkers int, csvPath string, telemetry *os.File,
-	reg *registry.Registry, coreOpts *core.Options) int {
+	driveWrites, parallel, cellWorkers int, csvPath string, tel runner.Telemetry) int {
 	byID := make(map[string]workload.Profile, len(profiles))
 	cells := make([]runner.Cell, 0, len(profiles)*len(ops)*len(schemes))
 	for _, p := range profiles {
@@ -63,45 +61,26 @@ func runOPSweep(profiles []workload.Profile, schemes []sim.Scheme, ops []float64
 	}
 	run := func(c runner.Cell) (runner.Output, error) {
 		p := byID[c.Trace]
-		geo := sim.GeometryForDriveOP(p.ExportedPages, p.PageSize, c.OP)
-		in, err := sim.BuildOP(c.Scheme, geo, c.OP, coreOpts)
+		in, out, err := runner.Exec(context.Background(), runner.Job{
+			Cell: c, Profile: p, DriveWrites: driveWrites,
+			Workers: cellWorkers, Live: tel.Cell(c), Sink: tel.Sink != nil,
+		})
 		if err != nil {
-			return runner.Output{}, err
-		}
-		in.SetCellWorkers(cellWorkers)
-		if telemetry != nil || reg != nil {
-			var cfg sim.ObserveConfig
-			if reg != nil {
-				cfg.Cell = reg.Cell(c.RunTag()) // pre-opened by runner.Run
-			}
-			sim.Observe(in, cfg)
-		}
-		res, err := sim.RunOn(in, p, driveWrites)
-		if err != nil {
-			return runner.Output{}, err
+			return out, err
 		}
 		// Effective spare factor: the share of the device's data capacity
 		// not occupied by the workload's footprint. It exceeds the nominal
 		// ratio because superblock sizing quantizes capacity upward.
-		totalData := float64(geo.Superblocks() * in.FTL.DataPagesPerSB())
+		totalData := float64(in.FTL.Device().Geometry().Superblocks() * in.FTL.DataPagesPerSB())
 		foot := p.ExportedPages
 		if exp := in.FTL.ExportedPages(); exp < foot {
 			foot = exp
 		}
 		sf := (totalData - float64(foot)) / totalData
-		out := runner.Output{Result: res, Extra: opCellInfo{spare: sf, pred: (1 - sf) / (2 * sf)}}
-		if telemetry != nil {
-			out.Events = in.Obs.Rec.Events()
-			out.Samples = in.Obs.Sampler.Series()
-			out.Dropped = in.Obs.Rec.Dropped()
-		}
+		out.Extra = opCellInfo{spare: sf, pred: (1 - sf) / (2 * sf)}
 		return out, nil
 	}
-	opts := runner.Options{Parallel: parallel, Progress: os.Stderr, Registry: reg}
-	if telemetry != nil {
-		opts.Telemetry = telemetry
-	}
-	outs, runErr := runner.Run(cells, run, opts)
+	outs, runErr := runner.Run(cells, run, tel.Options(parallel))
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // httpPoller drains a -listen telemetry server (wabench/perfbench/phftlsim)
-// into the model: per poll it folds one synthesized sample line from
-// /api/v1/cells and every new event from /api/v1/events (resuming at the
-// ?since= cursor), so the dashboard state matches what a JSONL tail of the
-// same run would have produced.
+// into the model: per poll it folds one sample built from /api/v1/cells and
+// every new event from /api/v1/events (resuming at the ?since= cursor), so the
+// dashboard state matches what a JSONL tail of the same run would have
+// produced.
 type httpPoller struct {
 	base   string
 	client *http.Client
@@ -35,23 +35,6 @@ func newHTTPPoller(target string) *httpPoller {
 		base = "http://" + base
 	}
 	return &httpPoller{base: base, client: &http.Client{Timeout: 5 * time.Second}}
-}
-
-// sampleLine is the synthesized "sample" JSONL shape fed back through
-// model.consume, so the HTTP source reuses the exact stream parser. Field
-// names match the obs JSONL sink; omitted pointers reproduce its NaN-gauge
-// omission.
-type sampleLine struct {
-	Ev         string   `json:"ev"`
-	Run        string   `json:"run,omitempty"`
-	Clock      uint64   `json:"clock"`
-	IntervalWA *float64 `json:"interval_wa,omitempty"`
-	CumWA      *float64 `json:"cum_wa,omitempty"`
-	Threshold  *float64 `json:"threshold,omitempty"`
-	CacheHit   *float64 `json:"cache_hit,omitempty"`
-	WearSkew   *float64 `json:"wear_skew,omitempty"`
-	WearCoV    *float64 `json:"wear_cov,omitempty"`
-	FreeSB     *int     `json:"free_sb,omitempty"`
 }
 
 func (p *httpPoller) get(path string) (*http.Response, error) {
@@ -108,20 +91,18 @@ func (p *httpPoller) poll(m *model) error {
 		return fmt.Errorf("decode /api/v1/cells: %w", err)
 	}
 	if c := pickCell(doc.Cells, m.run); c != nil {
-		sl := sampleLine{
+		// The cell's gauges as the sample line a JSONL tail would have
+		// carried; nil pointers are the sink's omitted NaN gauges.
+		l := line{
 			Ev: "sample", Run: c.Cell, Clock: c.Ops,
 			IntervalWA: c.IntervalWA, CumWA: c.CumWA, Threshold: c.Threshold,
 			CacheHit: c.CacheHit, WearSkew: c.WearSkew, WearCoV: c.WearCoV,
 		}
 		if c.FreeSB != nil {
 			fsb := int(*c.FreeSB)
-			sl.FreeSB = &fsb
+			l.FreeSB = &fsb
 		}
-		raw, err := json.Marshal(sl)
-		if err != nil {
-			return err
-		}
-		m.consume(raw)
+		m.apply(l)
 	}
 
 	resp, err = p.get("/api/v1/events?since=" + strconv.FormatUint(p.since, 10))

@@ -89,6 +89,12 @@ func (m *model) consume(raw []byte) {
 		m.badLine++
 		return
 	}
+	m.apply(l)
+}
+
+// apply folds one parsed line into the model (the HTTP poller builds its
+// sample lines directly instead of through JSON).
+func (m *model) apply(l line) {
 	if m.run != "" && l.Run != m.run {
 		return
 	}

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
 	"github.com/phftl/phftl/internal/ftl"
 	"github.com/phftl/phftl/internal/metrics"
 	"github.com/phftl/phftl/internal/ml"
 	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/obs"
-	"github.com/phftl/phftl/internal/par"
 )
 
 // Stream layout: two user streams selected by the Page Classifier plus one
@@ -65,13 +63,6 @@ type Options struct {
 	// Build (0 keeps ftl.DefaultConfig's value, the paper's 7%). OP sweeps
 	// use it to re-derive the exported capacity per spare factor.
 	OPRatio float64
-	// WallDurations, when set, measures wall-clock durations into telemetry
-	// (today: the window_retrain event's duration_ns). Off by default: wall
-	// time varies across hosts, runs and worker counts, and skipping the
-	// measurement keeps default telemetry byte-identical everywhere (the
-	// JSONL sink omits the field when the duration is 0). The harnesses
-	// expose it as -wall-durations.
-	WallDurations bool
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -187,7 +178,7 @@ type PHFTL struct {
 
 	// trainer runs the per-window retraining data-parallel over a fixed
 	// number of gradient shards; deployed weights depend on the shard count
-	// only, never on the attached pool (see ml.ShardedTrainer).
+	// only, never on the worker count (see ml.ShardedTrainer).
 	trainer *ml.ShardedTrainer
 
 	// Pooled window scratch: probe set, training set, resampler. Reused
@@ -342,10 +333,10 @@ func (p *PHFTL) SetRecorder(r obs.Recorder, clockFn func() uint64) {
 	p.meta.SetRecorder(r, clockFn)
 }
 
-// SetParallel attaches (or removes, with nil) the worker pool used for
-// data-parallel window retraining. Deployed weights are bit-identical with
-// and without a pool; only wall-clock changes.
-func (p *PHFTL) SetParallel(pool *par.Pool) { p.trainer.SetPool(pool) }
+// SetTrainWorkers sets how many goroutines each window retraining runs on
+// (see ml.ShardedTrainer.SetWorkers). Deployed weights are bit-identical at
+// any count; only wall-clock changes.
+func (p *PHFTL) SetTrainWorkers(n int) { p.trainer.SetWorkers(n) }
 
 // Confusion returns the runtime prediction quality against ground-truth
 // lifetimes (Table I). Call Finish first to resolve outstanding predictions.
@@ -446,24 +437,7 @@ func (p *PHFTL) PlaceUserWrite(w ftl.UserWrite, clock uint64) (int, []byte) {
 		prevLife = now - uint64(entry.LastWrite)
 	}
 
-	// Host-side trainer bookkeeping: resolve the previous write's lifetime.
-	if hl := uint64(p.hostLast[lpn]); hl > 0 {
-		life := float64(now - hl)
-		if p.pred[lpn] != predNone {
-			p.confusion.Add(p.pred[lpn] == predShort, life < p.predThresh[lpn])
-			if p.OnResolve != nil {
-				p.OnResolve(w.LPN, p.pred[lpn] == predShort, life, p.predThresh[lpn])
-			}
-			p.pred[lpn] = predNone
-		}
-		if hl >= p.windowStart {
-			p.lifetimes = append(p.lifetimes, life)
-		}
-		p.addExample(example{
-			seq:      p.snapshotSeq(lpn),
-			lifetime: life,
-		})
-	}
+	p.resolveLifetime(lpn, now)
 
 	x := p.feat.Encode(p.xScratch, w.LPN, prevLife, w.ReqPages, w.Seq)
 	p.xScratch = x
@@ -522,6 +496,32 @@ func (p *PHFTL) PlaceUserWrite(w ftl.UserWrite, clock uint64) (int, []byte) {
 	return StreamUserLong, p.oobBuf
 }
 
+// resolveLifetime is the host-side trainer bookkeeping for an invalidation
+// (an overwrite or a trim) landing at now: the LPN's previous write, if any,
+// lived until now, so its outstanding prediction is scored, its lifetime joins
+// the window's threshold sample and its feature history becomes an example.
+func (p *PHFTL) resolveLifetime(lpn uint32, now uint64) {
+	hl := uint64(p.hostLast[lpn])
+	if hl == 0 {
+		return
+	}
+	life := float64(now - hl)
+	if p.pred[lpn] != predNone {
+		p.confusion.Add(p.pred[lpn] == predShort, life < p.predThresh[lpn])
+		if p.OnResolve != nil {
+			p.OnResolve(nand.LPN(lpn), p.pred[lpn] == predShort, life, p.predThresh[lpn])
+		}
+		p.pred[lpn] = predNone
+	}
+	if hl >= p.windowStart {
+		p.lifetimes = append(p.lifetimes, life)
+	}
+	p.addExample(example{
+		seq:      p.snapshotSeq(lpn),
+		lifetime: life,
+	})
+}
+
 // PlaceGCWrite implements ftl.Separator: GC survivors are separated by GC
 // count; their metadata travels in the per-page OOB copy, so no meta-page
 // read is needed during GC (§III-C).
@@ -557,24 +557,7 @@ func (p *PHFTL) OnPagePlaced(_ nand.LPN, ppn nand.PPN, _ bool) {
 // file's hidden state.
 func (p *PHFTL) OnTrim(lpn nand.LPN, oldPPN nand.PPN, clock uint64) {
 	l := uint32(lpn)
-	now := clock + 1
-	if hl := uint64(p.hostLast[l]); hl > 0 {
-		life := float64(now - hl)
-		if p.pred[l] != predNone {
-			p.confusion.Add(p.pred[l] == predShort, life < p.predThresh[l])
-			if p.OnResolve != nil {
-				p.OnResolve(lpn, p.pred[l] == predShort, life, p.predThresh[l])
-			}
-			p.pred[l] = predNone
-		}
-		if hl >= p.windowStart {
-			p.lifetimes = append(p.lifetimes, life)
-		}
-		p.addExample(example{
-			seq:      p.snapshotSeq(l),
-			lifetime: life,
-		})
-	}
+	p.resolveLifetime(l, clock+1)
 	p.hostLast[l] = 0
 	p.rings[l].n = 0
 	p.meta.Invalidate(oldPPN)
@@ -684,21 +667,10 @@ func (p *PHFTL) endWindow(now uint64) {
 		p.sampleBuf = labeled
 		samples := p.resample.Resample(labeled, 0, p.opts.Seed+int64(p.stats.Windows))
 		deployed := int64(0)
-		var trainDur time.Duration
 		if len(samples) >= 8 {
 			cfg := p.opts.Train
 			cfg.Seed = p.opts.Seed + int64(p.stats.Windows)
-			// Wall-clock timing is opt-in (Options.WallDurations): a zero
-			// duration tells the sink to omit duration_ns, keeping default
-			// telemetry deterministic.
-			var trainStart time.Time
-			if p.opts.WallDurations {
-				trainStart = time.Now()
-			}
 			p.stats.LastTrainLoss = p.trainer.Train(p.model, samples, p.opt, cfg)
-			if p.opts.WallDurations {
-				trainDur = time.Since(trainStart)
-			}
 			p.stats.TrainedExamples += uint64(len(samples))
 			// Deploy in place: copy (and optionally quantize) the trained
 			// weights into the device-side model rather than allocating a
@@ -720,7 +692,7 @@ func (p *PHFTL) endWindow(now uint64) {
 			p.rec.Record(obs.Event{
 				Kind: obs.KindWindowRetrain, Clock: now,
 				SB: -1, Stream: -1, GCClass: -1,
-				A: int64(len(samples)), B: deployed, C: trainDur.Nanoseconds(),
+				A: int64(len(samples)), B: deployed,
 				F0: p.stats.LastTrainLoss, F1: p.threshold,
 			})
 		}

@@ -390,38 +390,18 @@ func (s *Supervisor) finishLocked(en *entry, st registry.State) {
 	s.cond.Broadcast()
 }
 
-// defaultExec builds the spec's instance and replays it, mirroring the batch
-// harnesses (wabench): default or sweep geometry, optional intra-cell
-// workers, live-registry observation, buffered events/samples in the output.
+// defaultExec runs the spec through the batch harnesses' cell executor:
+// default or sweep geometry, optional intra-cell workers, live-registry
+// observation, buffered events/samples in the output.
 func defaultExec(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (runner.Output, error) {
 	p, ok := workload.ProfileByID(spec.Trace)
 	if !ok {
 		return runner.Output{}, fmt.Errorf("fleet: unknown trace %q", spec.Trace)
 	}
-	var in *sim.Instance
-	var err error
-	if spec.OP > 0 {
-		geo := sim.GeometryForDriveOP(p.ExportedPages, p.PageSize, spec.OP)
-		in, err = sim.BuildOP(sim.Scheme(spec.Scheme), geo, spec.OP, nil)
-	} else {
-		geo := sim.GeometryForDrive(p.ExportedPages, p.PageSize)
-		in, err = sim.Build(sim.Scheme(spec.Scheme), geo, nil)
-	}
-	if err != nil {
-		return runner.Output{}, err
-	}
-	if spec.CellWorkers > 1 {
-		in.SetCellWorkers(spec.CellWorkers)
-	}
-	o := sim.Observe(in, sim.ObserveConfig{Cell: rc})
-	res, err := sim.RunOnCtx(ctx, in, p, spec.DriveWrites)
-	if err != nil {
-		return runner.Output{}, err
-	}
-	return runner.Output{
-		Result:  res,
-		Events:  o.Rec.Events(),
-		Samples: o.Sampler.Series(),
-		Dropped: o.Rec.Dropped(),
-	}, nil
+	_, out, err := runner.Exec(ctx, runner.Job{
+		Cell:    runner.Cell{Trace: spec.Trace, Scheme: sim.Scheme(spec.Scheme), OP: spec.OP},
+		Profile: p, DriveWrites: spec.DriveWrites,
+		Workers: spec.CellWorkers, Live: rc, Sink: true,
+	})
+	return out, err
 }

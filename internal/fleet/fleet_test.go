@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,25 +20,21 @@ import (
 	"github.com/phftl/phftl/internal/workload"
 )
 
-// smallExec is the real execution path over shrunken drives (4096 pages), so
-// the journal-resume determinism test runs in milliseconds while exercising
-// the same build/observe/replay pipeline as defaultExec.
+// smallExec is defaultExec over shrunken drives (4096 pages), so the
+// journal-resume determinism test runs in milliseconds while exercising the
+// same executor.
 func smallExec(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (runner.Output, error) {
 	p, ok := workload.ProfileByID(spec.Trace)
 	if !ok {
 		return runner.Output{}, fmt.Errorf("unknown trace %q", spec.Trace)
 	}
 	p.ExportedPages = 4096
-	in, err := sim.Build(sim.Scheme(spec.Scheme), sim.GeometryForDrive(p.ExportedPages, p.PageSize), nil)
-	if err != nil {
-		return runner.Output{}, err
-	}
-	o := sim.Observe(in, sim.ObserveConfig{Cell: rc})
-	res, err := sim.RunOnCtx(ctx, in, p, spec.DriveWrites)
-	if err != nil {
-		return runner.Output{}, err
-	}
-	return runner.Output{Result: res, Events: o.Rec.Events(), Samples: o.Sampler.Series()}, nil
+	_, out, err := runner.Exec(ctx, runner.Job{
+		Cell:    runner.Cell{Trace: spec.Trace, Scheme: sim.Scheme(spec.Scheme)},
+		Profile: p, DriveWrites: spec.DriveWrites,
+		Workers: spec.CellWorkers, Live: rc, Sink: true,
+	})
+	return out, err
 }
 
 func newSupervisor(t *testing.T, cfg Config) *Supervisor {
@@ -211,6 +208,63 @@ func TestCancelWhileRunning(t *testing.T) {
 	}
 	if err := s.CancelCell("ghost"); !errors.Is(err, httpd.ErrUnknownCell) {
 		t.Fatalf("unknown cancel err = %v, want ErrUnknownCell", err)
+	}
+}
+
+// TestCellWorkersLeaveNoGoroutines is the regression test for the leak a
+// cell with cell_workers > 1 left behind when it did not finish: the retraining
+// helpers used to belong to the instance and were only stopped by Finish, which
+// a cancelled or failed replay never reached (+3 goroutines per attempt). They
+// now live inside one training pass, so the process returns to its pre-submit
+// goroutine count whether the cell is cancelled mid-replay or fails its way
+// through the restart policy.
+func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
+	// A replay that cannot finish inside its deadline fails with
+	// context.DeadlineExceeded — a failure, not a cancellation, to runEntry.
+	timeoutExec := func(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (runner.Output, error) {
+		ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer cancel()
+		return smallExec(ctx, spec, rc)
+	}
+	waitFor := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		exec   execFunc
+		cancel bool
+		want   registry.State
+	}{
+		{"cancelled", smallExec, true, registry.StateCancelled},
+		{"failed", timeoutExec, false, registry.StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSupervisor(t, Config{Workers: 1, MaxRestarts: 1, exec: tc.exec})
+			s.Start()
+			before := runtime.NumGoroutine()
+			name, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "PHFTL", DriveWrites: 100000, CellWorkers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cancel {
+				// One drive write in: a score of windows have been retrained.
+				waitFor(t, "replay progress", func() bool { return s.cfg.Registry.Totals().Ops >= 4096 })
+				if err := s.CancelCell(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Drain()
+			if st := s.cfg.Registry.Cell(name).State(); st != tc.want {
+				t.Fatalf("state = %v, want %v", st, tc.want)
+			}
+			// Drain can return a moment before the worker has unwound.
+			waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+		})
 	}
 }
 

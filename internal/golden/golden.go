@@ -45,11 +45,8 @@
 //     over tols keys only, extra candidate columns are ignored
 //     automatically — which is what keeps old baselines green.
 //
-// Wall-clock-noisy fields are excluded by construction twice over: the one
-// such field (the window_retrain event's duration_ns) exists only in the
-// JSONL event stream, never in the CSV sample format this package consumes,
-// and it is only measured at all under the opt-in -wall-durations flag
-// (core.Options.WallDurations) — default telemetry is byte-identical across
+// Wall-clock-noisy fields are excluded by construction: no event or sample
+// field depends on the wall clock, so telemetry is byte-identical across
 // runs, hosts and worker counts.
 //
 // # Tolerances

@@ -9,11 +9,11 @@ import "github.com/phftl/phftl/internal/par"
 // then reduced into the master in ascending shard order before the Adam step.
 //
 // Determinism contract: the deployed weights depend only on Lanes, never on
-// the pool — the shard partition, the within-shard accumulation order, and
-// the reduction order are all fixed, so running with a nil pool (serial), a
-// 2-lane pool, or an 8-lane pool produces bit-identical weights. Shards are
-// distributed over pool lanes by striding (shard ≡ lane mod pool size), which
-// keeps shard contents independent of how many goroutines happen to exist.
+// the worker count — the shard partition, the within-shard accumulation order,
+// and the reduction order are all fixed, so training on 1 (serial), 2 or 4
+// goroutines produces bit-identical weights. Shards are distributed over
+// workers by striding (shard ≡ worker mod worker count), which keeps shard
+// contents independent of how many goroutines happen to exist.
 //
 // With Lanes == 1 the trainer reduces a single shard accumulated in shuffled
 // sample order into zeroed master gradients — numerically identical to
@@ -28,7 +28,7 @@ import "github.com/phftl/phftl/internal/par"
 // lazily-grown scratch needs.
 type ShardedTrainer struct {
 	lanes   int
-	pool    *par.Pool
+	workers int // goroutines per Train (SetWorkers); <= 1 is serial
 	master  SequenceModel
 	shadows []SequenceModel
 
@@ -41,9 +41,8 @@ type ShardedTrainer struct {
 	laneFn    func(lane int)
 }
 
-// NewShardedTrainer returns a trainer with the given fixed shard count
-// (values < 1 are treated as 1). The pool (optional, may be nil for serial
-// execution) can be attached later with SetPool.
+// NewShardedTrainer returns a serial trainer with the given fixed shard count
+// (values < 1 are treated as 1); SetWorkers spreads the shards over goroutines.
 func NewShardedTrainer(lanes int) *ShardedTrainer {
 	if lanes < 1 {
 		lanes = 1
@@ -53,12 +52,12 @@ func NewShardedTrainer(lanes int) *ShardedTrainer {
 	return t
 }
 
-// Lanes returns the fixed shard count.
-func (t *ShardedTrainer) Lanes() int { return t.lanes }
-
-// SetPool attaches (or detaches, with nil) the worker pool used to execute
-// shards. Switching pools never changes training results, only wall-clock.
-func (t *ShardedTrainer) SetPool(p *par.Pool) { t.pool = p }
+// SetWorkers sets how many goroutines each Train call spreads the shards
+// over; n <= 1 is serial, and n is clamped to Lanes (more would only park
+// idle). The helpers live for one Train call: none exists between training
+// passes, so a trainer needs no Close. The count never changes training
+// results, only wall-clock.
+func (t *ShardedTrainer) SetWorkers(n int) { t.workers = min(n, t.lanes) }
 
 // bind (re)builds the per-shard shadows when the master model changes.
 func (t *ShardedTrainer) bind(m SequenceModel) {
@@ -132,7 +131,9 @@ func (t *ShardedTrainer) Train(m SequenceModel, samples []Sample, opt *Adam, cfg
 		batch = 32
 	}
 	t.samples = samples
-	t.poolLanes = t.pool.Lanes()
+	pool := par.New(t.workers) // nil, i.e. serial, below two workers
+	defer pool.Close()
+	t.poolLanes = pool.Lanes()
 	lastLoss := 0.0
 	for e := 0; e < epochs; e++ {
 		order := t.sh.order()
@@ -154,7 +155,7 @@ func (t *ShardedTrainer) Train(m SequenceModel, samples []Sample, opt *Adam, cfg
 			for i := range t.shardLoss {
 				t.shardLoss[i] = 0
 			}
-			t.pool.Run(t.laneFn)
+			pool.Run(t.laneFn)
 			total += t.reduce()
 			opt.Update(m.Params(), end-start)
 			m.ZeroGrad()

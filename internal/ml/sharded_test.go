@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/phftl/phftl/internal/par"
 )
 
 func shardedTestSamples(n, dim int, seed int64) []Sample {
@@ -63,8 +61,9 @@ func requireSameWeights(t *testing.T, want, got [][]uint64, label string) {
 }
 
 // TestShardedTrainerPoolInvariance pins the tentpole determinism contract:
-// deployed weights depend only on the shard count, never on the pool, so
-// serial (nil pool) and 2/3/4-lane pools yield bit-identical weights.
+// deployed weights depend only on the shard count, never on the worker count,
+// so serial training and SetWorkers(2/3/4, or a count past the shard count)
+// yield bit-identical weights.
 func TestShardedTrainerPoolInvariance(t *testing.T) {
 	const dim = 8
 	samples := shardedTestSamples(120, dim, 42)
@@ -77,15 +76,13 @@ func TestShardedTrainerPoolInvariance(t *testing.T) {
 			refLoss := refTrainer.Train(ref, samples, NewAdam(cfg.LR), cfg)
 			want := weightsBits(ref)
 
-			for _, lanes := range []int{2, 3, 4} {
-				pool := par.New(lanes)
+			for _, workers := range []int{2, 3, 4, 1 << 14} {
 				m := fresh(dim)
 				tr := NewShardedTrainer(4)
-				tr.SetPool(pool)
+				tr.SetWorkers(workers)
 				loss := tr.Train(m, samples, NewAdam(cfg.LR), cfg)
-				pool.Close()
 				if math.Float64bits(loss) != math.Float64bits(refLoss) {
-					t.Fatalf("pool=%d: loss %v != serial loss %v", lanes, loss, refLoss)
+					t.Fatalf("workers=%d: loss %v != serial loss %v", workers, loss, refLoss)
 				}
 				requireSameWeights(t, want, weightsBits(m), "pool invariance")
 			}

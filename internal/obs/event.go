@@ -46,12 +46,8 @@ const (
 	// KindWindowRetrain records one Model Trainer window with an active
 	// threshold. A is the number of labeled training examples, B is 1 when
 	// a training pass ran and deployed a new model (0 when the window had
-	// too few examples), C the wall-clock training duration in nanoseconds
-	// (recorded only when core.Options.WallDurations — the -wall-durations
-	// flag — is set; 0 otherwise, and the JSONL sink omits the field when
-	// 0, so default telemetry streams carry no wall-clock-dependent bytes),
-	// F0 the last training loss and F1 the threshold the labels were cut
-	// at.
+	// too few examples), F0 the last training loss and F1 the threshold the
+	// labels were cut at. No field depends on the wall clock.
 	KindWindowRetrain
 	// KindMetaCacheHit records a metadata retrieval served by the RAM
 	// meta-page cache. A is the meta-page PPN.

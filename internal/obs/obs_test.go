@@ -185,7 +185,7 @@ const goldenJSONL = `{"ev":"gc_start","run":"r1","clock":10,"sb":3,"stream":1,"g
 {"ev":"erase","run":"r1","clock":10,"die":2,"block":3,"erase_count":7}
 {"ev":"sample","run":"r1","clock":64,"interval_wa":0.125,"cum_wa":0.125,"free_sb":10,"threshold":500,"cache_hit":0.875,"queue_depth":0,"lat_p50_ms":0.25,"lat_p99_ms":1.5,"wear_skew":1.25,"wear_cov":0.125,"open_fill":[0.5,0]}
 {"ev":"threshold_update","run":"r1","clock":100,"old":500,"new":620,"probe_accuracy":0.75,"direction":1,"step":5,"inflection_seed":0}
-{"ev":"window_retrain","run":"r1","clock":100,"examples":256,"deployed":1,"duration_ns":1500000,"loss":0.0625,"threshold":620}
+{"ev":"window_retrain","run":"r1","clock":100,"examples":256,"deployed":1,"loss":0.0625,"threshold":620}
 {"ev":"meta_cache_miss","run":"r1","clock":120,"mppn":4096}
 {"ev":"write_stall","run":"r1","clock":130,"depth":3,"source":0,"wait_ns":0}
 `
@@ -196,7 +196,7 @@ func TestWriteJSONLGolden(t *testing.T) {
 		{Kind: KindGCEnd, Clock: 10, SB: 3, Stream: 1, GCClass: 0, A: 25, B: 10, F0: 0.25},
 		{Kind: KindErase, Clock: 10, SB: 3, A: 2, B: 3, C: 7},
 		{Kind: KindThresholdUpdate, Clock: 100, SB: -1, Stream: -1, GCClass: -1, A: 1, B: 5, C: 0, F0: 500, F1: 620, F2: 0.75},
-		{Kind: KindWindowRetrain, Clock: 100, SB: -1, Stream: -1, GCClass: -1, A: 256, B: 1, C: 1500000, F0: 0.0625, F1: 620},
+		{Kind: KindWindowRetrain, Clock: 100, SB: -1, Stream: -1, GCClass: -1, A: 256, B: 1, F0: 0.0625, F1: 620},
 		{Kind: KindMetaCacheMiss, Clock: 120, SB: -1, Stream: -1, GCClass: -1, A: 4096},
 		{Kind: KindWriteStall, Clock: 130, SB: -1, Stream: -1, GCClass: -1, A: 3, B: 0},
 	}

@@ -75,20 +75,29 @@ const (
 	DefaultHotSampleEvery = 16
 )
 
-// hotKinds are the event kinds emitted on the metadata-cache fast path.
-var hotKinds = [...]Kind{KindMetaCacheHit, KindMetaCacheMiss, KindMetaCacheEvict}
+// HotSampleEvery is the thinning rate of kind k wherever events are retained
+// (the TraceRecorder's default rings, the registry's HTTP drain ring): the
+// kinds emitted on the metadata-cache fast path keep the first event and then
+// every DefaultHotSampleEvery-th, every other kind keeps all (1).
+func HotSampleEvery(k Kind) uint64 {
+	switch k {
+	case KindMetaCacheHit, KindMetaCacheMiss, KindMetaCacheEvict:
+		return DefaultHotSampleEvery
+	}
+	return 1
+}
 
 // DefaultRingPolicy returns the default sizing: lossless rare kinds,
 // bounded+sampled hot kinds, and a bounded catch-all for unknown kinds.
 func DefaultRingPolicy() RingPolicy {
 	var p RingPolicy
 	for k := range p {
-		p[k] = KindPolicy{Cap: 0, SampleEvery: 1} // rare: lossless, unsampled
+		p[k].SampleEvery = HotSampleEvery(Kind(k))
+		if p[k].SampleEvery > 1 {
+			p[k].Cap = DefaultHotRingCapacity // rare kinds stay lossless (Cap 0)
+		}
 	}
-	p[0] = KindPolicy{Cap: DefaultRingCapacity, SampleEvery: 1}
-	for _, k := range hotKinds {
-		p[k] = KindPolicy{Cap: DefaultHotRingCapacity, SampleEvery: DefaultHotSampleEvery}
-	}
+	p[0].Cap = DefaultRingCapacity
 	return p
 }
 

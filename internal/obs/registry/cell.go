@@ -93,21 +93,6 @@ type Cell struct {
 	schemeIntervalWA, schemeFinalWA *Histogram
 }
 
-// ringHot marks the event kinds emitted per metadata retrieval — millions
-// per replay. Their per-cell counters stay exact, but only one in
-// ringSampleEvery is stored into the HTTP drain ring (mirroring the
-// DefaultRingPolicy thinning in internal/obs).
-var ringHot = func() [obs.NumKinds]bool {
-	var h [obs.NumKinds]bool
-	h[obs.KindMetaCacheHit] = true
-	h[obs.KindMetaCacheMiss] = true
-	h[obs.KindMetaCacheEvict] = true
-	return h
-}()
-
-// ringSampleEvery is the drain-ring thinning rate of hot kinds.
-const ringSampleEvery = 16
-
 // OpenCell registers (or returns the existing) cell under name, in state
 // queued. Idempotent: the first caller's meta wins, so the runner can
 // pre-register the fleet and the harness can re-open for the handle.
@@ -207,8 +192,9 @@ func (c *Cell) SetState(s State) {
 	}
 }
 
-// Record implements obs.Recorder: exact per-kind counting plus a (thinned
-// for hot kinds) store into the registry's drain ring. Allocation-free.
+// Record implements obs.Recorder: exact per-kind counting plus a store into
+// the registry's drain ring, thinned for the hot kinds (emitted per metadata
+// retrieval, millions per replay) at obs.HotSampleEvery. Allocation-free.
 func (c *Cell) Record(ev obs.Event) {
 	k := int(ev.Kind)
 	if k >= obs.NumKinds {
@@ -218,7 +204,7 @@ func (c *Cell) Record(ev obs.Event) {
 	if ev.Kind == obs.KindGCStart {
 		c.reg.gcValidRatio.Observe(ev.F0)
 	}
-	if ringHot[k] && (seen-1)%ringSampleEvery != 0 {
+	if every := obs.HotSampleEvery(ev.Kind); every > 1 && (seen-1)%every != 0 {
 		return
 	}
 	c.reg.ring.store(c.name, ev)

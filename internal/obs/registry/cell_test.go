@@ -223,8 +223,8 @@ func TestHotKindThinning(t *testing.T) {
 		t.Fatalf("exact counter = %d, want %d", got, n)
 	}
 	stored, _ := r.EventsSince(0, 0, 0)
-	if len(stored) != n/ringSampleEvery {
-		t.Fatalf("ring stored %d hot events, want %d", len(stored), n/ringSampleEvery)
+	if len(stored) != n/obs.DefaultHotSampleEvery {
+		t.Fatalf("ring stored %d hot events, want %d", len(stored), n/obs.DefaultHotSampleEvery)
 	}
 }
 

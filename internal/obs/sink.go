@@ -96,13 +96,6 @@ func appendJSONBody(dst []byte, ev Event, run string) []byte {
 	case KindWindowRetrain:
 		dst = appendKV(dst, "examples", ev.A)
 		dst = appendKV(dst, "deployed", ev.B)
-		if ev.C > 0 {
-			// Wall-clock training duration, recorded only under
-			// -wall-durations (core.Options.WallDurations). Omitting the
-			// field when no duration was measured keeps default telemetry
-			// byte-identical across runs, worker counts and hosts.
-			dst = appendKV(dst, "duration_ns", ev.C)
-		}
 		dst = appendKVF(dst, "loss", ev.F0)
 		dst = appendKVF(dst, "threshold", ev.F1)
 	case KindMetaCacheHit, KindMetaCacheMiss, KindMetaCacheEvict:

@@ -20,7 +20,8 @@ type Pool struct {
 	lanes int
 	fn    func(lane int)
 	gate  chan int
-	done  sync.WaitGroup
+	done  sync.WaitGroup // lanes of the Run in flight
+	live  sync.WaitGroup // helper goroutines not yet returned
 }
 
 // New creates a pool with the given number of lanes (caller + lanes-1 helper
@@ -30,6 +31,7 @@ func New(lanes int) *Pool {
 		return nil
 	}
 	p := &Pool{lanes: lanes, gate: make(chan int)}
+	p.live.Add(lanes - 1)
 	for i := 1; i < lanes; i++ {
 		go p.helper()
 	}
@@ -45,6 +47,7 @@ func (p *Pool) Lanes() int {
 }
 
 func (p *Pool) helper() {
+	defer p.live.Done()
 	for lane := range p.gate {
 		p.fn(lane)
 		p.done.Done()
@@ -73,11 +76,12 @@ func (p *Pool) Run(fn func(lane int)) {
 	p.done.Wait()
 }
 
-// Close stops the helper goroutines. The pool must not be used after Close.
-// Close on a nil pool is a no-op.
+// Close stops the helper goroutines and returns once they have exited. The
+// pool must not be used after Close. Close on a nil pool is a no-op.
 func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
 	close(p.gate)
+	p.live.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/phftl/phftl/internal/core"
 	"github.com/phftl/phftl/internal/ftl"
 	"github.com/phftl/phftl/internal/metrics"
 	"github.com/phftl/phftl/internal/nand"
@@ -47,7 +46,7 @@ type Machine struct {
 
 // NewMachine builds a scheme over a hooked device. For SchemePHFTL the
 // classifier core is modeled; baselines skip prediction entirely.
-func NewMachine(scheme sim.Scheme, geo nand.Geometry, t Timing, opts *core.Options) (*Machine, error) {
+func NewMachine(scheme sim.Scheme, geo nand.Geometry, t Timing) (*Machine, error) {
 	dev, err := nand.NewDevice(geo)
 	if err != nil {
 		return nil, err
@@ -61,7 +60,7 @@ func NewMachine(scheme sim.Scheme, geo nand.Geometry, t Timing, opts *core.Optio
 	dev.SetOpHook(func(kind nand.OpKind, p nand.PPN) {
 		m.pending = append(m.pending, pendingOp{kind: kind, die: geo.DieOf(p)})
 	})
-	in, err := sim.BuildWithDevice(scheme, dev, geo, opts)
+	in, err := sim.BuildWithDevice(scheme, dev, geo, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func machineGeo() nand.Geometry {
 
 func TestMachineSingleWriteLatency(t *testing.T) {
 	tm := DefaultTiming()
-	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm, nil)
+	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMachineQueueingOnSameDie(t *testing.T) {
 	// 4-page write overlaps; writing 8 pages makes each die serve 2 programs
 	// and the request latency must include the second round.
 	tm := DefaultTiming()
-	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm, nil)
+	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMachineQueueingOnSameDie(t *testing.T) {
 
 func TestMachinePHFTLChargesPredictions(t *testing.T) {
 	tm := DefaultTiming()
-	mP, err := NewMachine(sim.SchemePHFTL, machineGeo(), tm, nil)
+	mP, err := NewMachine(sim.SchemePHFTL, machineGeo(), tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestMachinePHFTLChargesPredictions(t *testing.T) {
 // accumulator must drain at each snapshot, and percentiles must be ordered.
 func TestMachineSamplesCarryLatencyPercentiles(t *testing.T) {
 	tm := DefaultTiming()
-	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm, nil)
+	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestMachineSamplesCarryLatencyPercentiles(t *testing.T) {
 
 func TestMachineReadLatency(t *testing.T) {
 	tm := DefaultTiming()
-	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm, nil)
+	m, err := NewMachine(sim.SchemeBase, machineGeo(), tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPhase1BandwidthImprovesForPHFTLOnChurn(t *testing.T) {
 	p.ExportedPages = 8192
 	geo := sim.GeometryForDrive(p.ExportedPages, p.PageSize)
 	run := func(scheme sim.Scheme) []BandwidthPoint {
-		m, err := NewMachine(scheme, geo, DefaultTiming(), nil)
+		m, err := NewMachine(scheme, geo, DefaultTiming())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestPhase2LatencyDistribution(t *testing.T) {
 	p.ExportedPages = 4096
 	p.InterArrivalUS = 800
 	geo := sim.GeometryForDrive(p.ExportedPages, p.PageSize)
-	m, err := NewMachine(sim.SchemeBase, geo, DefaultTiming(), nil)
+	m, err := NewMachine(sim.SchemeBase, geo, DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

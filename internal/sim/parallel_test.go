@@ -30,8 +30,7 @@ func parallelProfiles() []workload.Profile {
 // runCell runs one (scheme, profile) cell at the given worker count with
 // observability attached and returns the result, the recorded events and the
 // gauge samples rendered to strings (NaN-safe comparison). Events compare
-// exactly: wall-clock durations are opt-in (core.Options.WallDurations,
-// default off), so the default event stream is fully deterministic.
+// exactly: no event field depends on the wall clock.
 func runCell(t *testing.T, scheme Scheme, p workload.Profile, workers, dw int) (Result, []obs.Event, []string) {
 	t.Helper()
 	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
@@ -130,7 +129,7 @@ func TestCellWorkersErrorPropagates(t *testing.T) {
 // TestSetCellWorkersBoundsGoroutines pins that a hostile worker count (the
 // fleet API forwards cell_workers unchecked) cannot start more goroutines
 // than the retrainer has shards, that a scheme without a trainer starts none,
-// and that Finish stops them.
+// that none exists before the replay, and that none outlives it.
 func TestSetCellWorkersBoundsGoroutines(t *testing.T) {
 	p := smallProfile()
 	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
@@ -144,17 +143,39 @@ func TestSetCellWorkersBoundsGoroutines(t *testing.T) {
 		}
 		before := runtime.NumGoroutine()
 		in.SetCellWorkers(1 << 14)
-		if grew := runtime.NumGoroutine() - before; grew > tc.max {
-			t.Errorf("%s: SetCellWorkers(1<<14) started %d goroutines, want <= %d", tc.scheme, grew, tc.max)
+		if grew := runtime.NumGoroutine() - before; grew != 0 {
+			t.Errorf("%s: SetCellWorkers started %d goroutines outside a training pass", tc.scheme, grew)
 		}
-		in.Finish()
-		// Helpers exit on their own goroutines after Finish closes the pool.
+		// Replay on a second goroutine and watch the count from this one:
+		// the helpers exist only while a window is being retrained.
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunOn(in, p, 2)
+			done <- err
+		}()
+		peak, running := 0, true
+		for running {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				running = false
+			default:
+				peak = max(peak, runtime.NumGoroutine()-before-1) // minus the replay goroutine
+				runtime.Gosched()
+			}
+		}
+		if peak > tc.max {
+			t.Errorf("%s: SetCellWorkers(1<<14) ran %d helper goroutines, want <= %d", tc.scheme, peak, tc.max)
+		}
+		// The replay goroutine above is still unwinding when done is read.
 		deadline := time.Now().Add(10 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			runtime.Gosched()
 		}
 		if left := runtime.NumGoroutine() - before; left > 0 {
-			t.Errorf("%s: %d goroutines still running after Finish", tc.scheme, left)
+			t.Errorf("%s: %d goroutines still running after the replay", tc.scheme, left)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/obs"
 	"github.com/phftl/phftl/internal/obs/registry"
-	"github.com/phftl/phftl/internal/par"
 	"github.com/phftl/phftl/internal/sepbit"
 	"github.com/phftl/phftl/internal/trace"
 	"github.com/phftl/phftl/internal/tworegion"
@@ -80,39 +79,18 @@ type Instance struct {
 	// Obs, when non-nil (installed by Observe), collects trace events and
 	// periodic samples during Replay/RunOn.
 	Obs *Observation
-
-	// pool runs PHFTL's window retraining shard-parallel (SetCellWorkers);
-	// nil = serial.
-	pool *par.Pool
 }
 
 // SetCellWorkers sets how many goroutines retrain PHFTL's classifier at each
 // window end: the retrainer's core.TrainerLanes gradient shards are spread
-// over n lanes. Values above TrainerLanes would only park idle goroutines and
-// are clamped to it; n <= 1, and any n on a scheme without a trainer
-// (Base/2R/SepBIT), builds no pool. Results are byte-identical for every n;
-// only wall-clock changes. Call before Replay/RunOn/ReplayStream; Finish
-// releases the pool.
+// over n goroutines that exist only for the duration of a training pass.
+// Values above TrainerLanes are clamped to it, n <= 1 is serial, and a scheme
+// without a trainer (Base/2R/SepBIT) ignores the call. Results are
+// byte-identical for every n; only wall-clock changes.
 func (in *Instance) SetCellWorkers(n int) {
-	in.closePool()
-	if in.PHFTL == nil {
-		return
+	if in.PHFTL != nil {
+		in.PHFTL.SetTrainWorkers(n)
 	}
-	if n > core.TrainerLanes {
-		n = core.TrainerLanes
-	}
-	in.pool = par.New(n) // nil when n <= 1
-	in.PHFTL.SetParallel(in.pool)
-}
-
-// closePool detaches and stops the retraining pool, if any.
-func (in *Instance) closePool() {
-	if in.pool == nil {
-		return
-	}
-	in.PHFTL.SetParallel(nil)
-	in.pool.Close()
-	in.pool = nil
 }
 
 // Observation couples a trace recorder and a gauge sampler to an instance.
@@ -385,12 +363,16 @@ func (in *Instance) Replay(ops []trace.PageOp) error {
 			return err
 		}
 	}
-	if in.PHFTL != nil {
-		if err := in.PHFTL.Err(); err != nil {
-			return err
-		}
+	return in.schemeErr()
+}
+
+// schemeErr is the first error PHFTL hit on the data path, where the
+// Separator interface cannot return one.
+func (in *Instance) schemeErr() error {
+	if in.PHFTL == nil {
+		return nil
 	}
-	return nil
+	return in.PHFTL.Err()
 }
 
 // ReplayStream drives a record stream through the instance in constant
@@ -399,13 +381,19 @@ func (in *Instance) Replay(ops []trace.PageOp) error {
 // page size (records are byte-addressed); drivePages for LPN wrapping is the
 // profile-independent exported capacity of the instance itself.
 func (in *Instance) ReplayStream(src trace.RecordSource, pageSize int) error {
+	return in.replay(src, trace.NewExpander(pageSize, in.FTL.ExportedPages()))
+}
+
+// replay is the one record loop behind ReplayStream and RunOnCtx: pull a
+// record, expand it, replay its page ops, until the source reports io.EOF.
+// A source or replay error is returned as is.
+func (in *Instance) replay(src trace.RecordSource, e *trace.Expander) error {
 	exported := in.FTL.ExportedPages()
-	e := trace.NewExpander(pageSize, exported)
 	yield := func(op trace.PageOp) error { return in.replayOp(op, exported) }
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
-			break
+			return in.schemeErr()
 		}
 		if err != nil {
 			return err
@@ -414,19 +402,11 @@ func (in *Instance) ReplayStream(src trace.RecordSource, pageSize int) error {
 			return err
 		}
 	}
-	if in.PHFTL != nil {
-		if err := in.PHFTL.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// Finish resolves outstanding classifier predictions, takes the final
-// observation sample, and releases the retraining pool (safe because pooled
-// and serial training produce identical weights).
+// Finish resolves outstanding classifier predictions and takes the final
+// observation sample.
 func (in *Instance) Finish() {
-	in.closePool()
 	if in.PHFTL != nil {
 		in.PHFTL.Finish(in.FTL.Clock())
 	}
@@ -447,6 +427,20 @@ type Result struct {
 	Threshold float64
 }
 
+// Result reads the instance's measurements, labelled with the profile (or
+// trace file) that was replayed. Call Finish first so the confusion matrix
+// includes the predictions still outstanding at the end of the run.
+func (in *Instance) Result(profile string) Result {
+	st := in.FTL.Stats()
+	res := Result{Profile: profile, Scheme: in.Scheme, WA: st.WA(), DataWA: st.DataWA(), FTLStats: st}
+	if in.PHFTL != nil {
+		res.Confusion = in.PHFTL.Confusion()
+		res.MetaStats = in.PHFTL.MetaStats()
+		res.Threshold = in.PHFTL.Threshold()
+	}
+	return res
+}
+
 // RunProfile replays driveWrites full-drive writes of the profile's
 // synthetic trace under the scheme and returns the measurements. opts
 // customizes PHFTL (nil = defaults).
@@ -461,57 +455,43 @@ func RunProfile(p workload.Profile, scheme Scheme, driveWrites int, opts *core.O
 
 // RunOn replays the profile on an existing instance. The generator's records
 // are expanded and replayed one at a time, so a run's memory footprint is
-// independent of driveWrites (the slice-based path materialized every record
-// and page op up front — hundreds of MB for deep -dw replays).
+// independent of driveWrites.
 func RunOn(in *Instance, p workload.Profile, driveWrites int) (Result, error) {
 	return RunOnCtx(context.Background(), in, p, driveWrites)
 }
 
-// RunOnCtx is RunOn with cooperative cancellation: the replay loop checks the
-// context between trace records (a record expands to a bounded burst of page
-// ops, so cancellation latency is one record's expansion plus any GC it
-// triggers). A cancelled run returns the context's error wrapped in the usual
-// run annotation — test with errors.Is(err, context.Canceled) — and leaves the
+// RunOnCtx is RunOn with cooperative cancellation: the context is checked
+// between trace records (a record expands to a bounded burst of page ops, so
+// cancellation latency is one record's expansion plus any GC it triggers). A
+// cancelled run returns the context's error wrapped in the usual run
+// annotation — test with errors.Is(err, context.Canceled) — and leaves the
 // instance mid-replay; discard it rather than reusing it.
 func RunOnCtx(ctx context.Context, in *Instance, p workload.Profile, driveWrites int) (Result, error) {
-	gen := p.NewGenerator()
-	target := driveWrites * p.ExportedPages
-	e := trace.NewExpander(p.PageSize, p.ExportedPages)
-	// Background and other never-cancelled contexts report a nil Done channel:
-	// skip the select entirely so plain RunOn keeps its historical hot loop.
-	done := ctx.Done()
-	exported := in.FTL.ExportedPages()
-	yield := func(op trace.PageOp) error { return in.replayOp(op, exported) }
-	var err error
-	for err == nil && gen.PageWrites() < target {
-		if done != nil {
-			select {
-			case <-done:
-				err = ctx.Err()
-				continue
-			default:
-			}
-		}
-		err = e.Expand(gen.Next(), yield)
-	}
-	if err == nil && in.PHFTL != nil {
-		err = in.PHFTL.Err()
-	}
-	if err != nil {
+	src := &profileSource{ctx: ctx, gen: p.NewGenerator(), target: driveWrites * p.ExportedPages}
+	// The expander wraps LPNs at the profile's size; replayOp wraps again at
+	// the instance's, which an OP-sweep geometry can make smaller.
+	if err := in.replay(src, trace.NewExpander(p.PageSize, p.ExportedPages)); err != nil {
 		return Result{}, fmt.Errorf("sim: %s on %s: %w", in.Scheme, p.ID, err)
 	}
 	in.Finish()
-	res := Result{
-		Profile:  p.ID,
-		Scheme:   in.Scheme,
-		WA:       in.FTL.Stats().WA(),
-		DataWA:   in.FTL.Stats().DataWA(),
-		FTLStats: in.FTL.Stats(),
+	return in.Result(p.ID), nil
+}
+
+// profileSource adapts a profile's generator to trace.RecordSource: it ends
+// once the generator has emitted target page writes and fails with the
+// context's error once ctx is cancelled.
+type profileSource struct {
+	ctx    context.Context
+	gen    *workload.Generator
+	target int
+}
+
+func (s *profileSource) Next() (trace.Record, error) {
+	if s.gen.PageWrites() >= s.target {
+		return trace.Record{}, io.EOF
 	}
-	if in.PHFTL != nil {
-		res.Confusion = in.PHFTL.Confusion()
-		res.MetaStats = in.PHFTL.MetaStats()
-		res.Threshold = in.PHFTL.Threshold()
+	if err := s.ctx.Err(); err != nil {
+		return trace.Record{}, err
 	}
-	return res, nil
+	return s.gen.Next(), nil
 }

@@ -137,42 +137,46 @@ type Stats struct {
 	TrimBytes               uint64
 	MinOffset, MaxOffsetEnd uint64
 	Duration                uint64 // µs between first and last record
+
+	first, last uint64 // earliest and latest arrival times seen
 }
 
-// Summarize computes aggregate statistics.
+// Add folds one record into the statistics, so a stream can be summarized
+// while it is consumed.
+func (s *Stats) Add(r Record) {
+	empty := s.Reads+s.Writes+s.Trims == 0
+	switch r.Op {
+	case OpWrite:
+		s.Writes++
+		s.WriteBytes += uint64(r.Size)
+	case OpTrim:
+		s.Trims++
+		s.TrimBytes += uint64(r.Size)
+	default:
+		s.Reads++
+		s.ReadBytes += uint64(r.Size)
+	}
+	if empty || r.Offset < s.MinOffset {
+		s.MinOffset = r.Offset
+	}
+	if end := r.Offset + uint64(r.Size); end > s.MaxOffsetEnd {
+		s.MaxOffsetEnd = end
+	}
+	if empty || r.Time < s.first {
+		s.first = r.Time
+	}
+	if empty || r.Time > s.last {
+		s.last = r.Time
+	}
+	s.Duration = s.last - s.first
+}
+
+// Summarize computes aggregate statistics; it is the slice form of Stats.Add.
 func Summarize(records []Record) Stats {
 	var s Stats
-	if len(records) == 0 {
-		return s
-	}
-	s.MinOffset = ^uint64(0)
-	first, last := records[0].Time, records[0].Time
 	for _, r := range records {
-		switch r.Op {
-		case OpWrite:
-			s.Writes++
-			s.WriteBytes += uint64(r.Size)
-		case OpTrim:
-			s.Trims++
-			s.TrimBytes += uint64(r.Size)
-		default:
-			s.Reads++
-			s.ReadBytes += uint64(r.Size)
-		}
-		if r.Offset < s.MinOffset {
-			s.MinOffset = r.Offset
-		}
-		if end := r.Offset + uint64(r.Size); end > s.MaxOffsetEnd {
-			s.MaxOffsetEnd = end
-		}
-		if r.Time < first {
-			first = r.Time
-		}
-		if r.Time > last {
-			last = r.Time
-		}
+		s.Add(r)
 	}
-	s.Duration = last - first
 	return s
 }
 
