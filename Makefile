@@ -31,19 +31,21 @@ opsweep-smoke:
 		-op-sweep "0.07,0.15,0.28"
 
 ## scaling-smoke: the intra-cell parallelism determinism gate — one tiny
-## trace×scheme pair replayed serially and at -cell-workers 4, both under
-## -race, with the telemetry CSVs diffed byte-for-byte. Proves the pooled
-## sharded retrainer is data-race-free AND bit-identical to the serial path
-## end to end (unit tests pin the same property per layer; this pins the
-## composed binary).
+## trace×scheme pair replayed at GOMAXPROCS=1 (serial retraining and
+## threshold probes) and at GOMAXPROCS=4 (four retraining lanes; on a 2-CPU
+## host more lanes than CPUs, so the pool's park-at-once path runs), both
+## under -race, with the telemetry CSVs diffed byte-for-byte. Proves the
+## pooled sharded retrainer and the concurrent probes are data-race-free AND
+## bit-identical to the serial path end to end (unit tests pin the same
+## property per layer; this pins the composed binary).
 scaling-smoke:
-	rm -rf /tmp/phftl-scaling-serial /tmp/phftl-scaling-w4
-	$(GO) run -race ./cmd/wabench -dw 1 -traces "#144" -schemes "Base,PHFTL" \
+	rm -rf /tmp/phftl-scaling-serial /tmp/phftl-scaling-p4
+	GOMAXPROCS=1 $(GO) run -race ./cmd/wabench -dw 1 -traces "#144" -schemes "Base,PHFTL" \
 		-telemetry-csv /tmp/phftl-scaling-serial > /dev/null
-	$(GO) run -race ./cmd/wabench -dw 1 -traces "#144" -schemes "Base,PHFTL" \
-		-cell-workers 4 -telemetry-csv /tmp/phftl-scaling-w4 > /dev/null
-	diff -r /tmp/phftl-scaling-serial /tmp/phftl-scaling-w4
-	@echo "scaling-smoke: -cell-workers 4 output byte-identical to serial"
+	GOMAXPROCS=4 $(GO) run -race ./cmd/wabench -dw 1 -traces "#144" -schemes "Base,PHFTL" \
+		-telemetry-csv /tmp/phftl-scaling-p4 > /dev/null
+	diff -r /tmp/phftl-scaling-serial /tmp/phftl-scaling-p4
+	@echo "scaling-smoke: GOMAXPROCS=4 output byte-identical to GOMAXPROCS=1"
 
 ## watop-smoke: a short phftlsim -telemetry run fed into the live dashboard
 ## in -once mode under -race — proves the erase/sample stream renders a

@@ -59,7 +59,6 @@ func main() {
 	driveWrites := flag.Int("dw", 20, "drive writes to replay (synthetic profiles)")
 	telemetryCSV := flag.String("telemetry-csv", "", "also write the sample time series as CSV to this file")
 	sampleEvery := flag.Uint64("sample-every", 0, "sampling interval in user-page writes (0 = exported/64)")
-	cellWorkers := flag.Int("cell-workers", 1, "goroutines retraining PHFTL's classifier at each window end, over its 4 gradient shards (1 = serial, more than 4 is 4, other schemes ignore it; results are byte-identical at any value)")
 	report := flag.Bool("report", false, "print the observability report after the run")
 	var tf runner.TelemetryFlags
 	tf.Register(flag.CommandLine, "write trace events and samples as JSONL to this file")
@@ -78,7 +77,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	job := runner.Job{Cell: runner.Cell{Scheme: schemes[0]}, Workers: *cellWorkers, SampleEvery: *sampleEvery}
+	job := runner.Job{Cell: runner.Cell{Scheme: schemes[0]}, SampleEvery: *sampleEvery}
 	var csvSrc *summarizingSource // the -csv stream; nil for -trace
 	if *traceID != "" {
 		p, ok := workload.ProfileByID(*traceID)

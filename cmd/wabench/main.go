@@ -34,8 +34,7 @@ func main() {
 	driveWrites := flag.Int("dw", 20, "full drive writes to replay per trace (paper: 20)")
 	tracesFlag := flag.String("traces", "", "comma-separated trace IDs (default: all 20)")
 	schemesFlag := flag.String("schemes", "", "comma-separated schemes (default: Base,2R,SepBIT,PHFTL)")
-	parallel := flag.Int("parallel", 0, "trace×scheme cells to run concurrently (0 = GOMAXPROCS)")
-	cellWorkers := flag.Int("cell-workers", 1, "goroutines retraining PHFTL's classifier at each window end within a cell, over its 4 gradient shards (1 = serial, more than 4 is 4, other schemes ignore it; results are byte-identical at any value)")
+	parallel := flag.Int("parallel", 0, "trace×scheme cells to run concurrently (0 = GOMAXPROCS); each PHFTL cell also retrains on up to min(4, GOMAXPROCS) goroutines at its window ends (GOMAXPROCS=1 is fully serial; output is byte-identical either way)")
 	csvPath := flag.String("csv", "", "also write results as CSV to this file")
 	telemetryCSV := flag.String("telemetry-csv", "", "write each cell's sample time series as <trace>_<scheme>.csv into this directory (created if missing); the golden-curve harness consumes this format")
 	opSweep := flag.String("op-sweep", "", "comma-separated overprovisioning ratios (e.g. \"0.07,0.15,0.28\"): replay each trace×scheme cell once per ratio and report WA vs OP instead of the Figure 5 table")
@@ -82,7 +81,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-telemetry-csv is not supported with -op-sweep (cell file names do not encode the OP ratio)")
 			os.Exit(1)
 		}
-		code := runOPSweep(profiles, schemes, ops, *driveWrites, *parallel, *cellWorkers, *csvPath, tel)
+		code := runOPSweep(profiles, schemes, ops, *driveWrites, *parallel, *csvPath, tel)
 		if err := tel.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
@@ -107,7 +106,7 @@ func main() {
 	run := func(c runner.Cell) (runner.Output, error) {
 		_, out, err := runner.Exec(context.Background(), runner.Job{
 			Cell: c, Profile: byID[c.Trace], DriveWrites: *driveWrites,
-			Workers: *cellWorkers, Live: tel.Cell(c), Sink: sink,
+			Live: tel.Cell(c), Sink: sink,
 		})
 		return out, err
 	}

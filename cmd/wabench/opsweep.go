@@ -45,7 +45,7 @@ const opSweepCSVHeader = "trace,scheme,op,spare_eff,wa,data_wa,user_writes,gc_wr
 // extra-flash-writes-per-user-write WA convention). Returns the process exit
 // code.
 func runOPSweep(profiles []workload.Profile, schemes []sim.Scheme, ops []float64,
-	driveWrites, parallel, cellWorkers int, csvPath string, tel runner.Telemetry) int {
+	driveWrites, parallel int, csvPath string, tel runner.Telemetry) int {
 	byID := make(map[string]workload.Profile, len(profiles))
 	cells := make([]runner.Cell, 0, len(profiles)*len(ops)*len(schemes))
 	for _, p := range profiles {
@@ -63,7 +63,7 @@ func runOPSweep(profiles []workload.Profile, schemes []sim.Scheme, ops []float64
 		p := byID[c.Trace]
 		in, out, err := runner.Exec(context.Background(), runner.Job{
 			Cell: c, Profile: p, DriveWrites: driveWrites,
-			Workers: cellWorkers, Live: tel.Cell(c), Sink: tel.Sink != nil,
+			Live: tel.Cell(c), Sink: tel.Sink != nil,
 		})
 		if err != nil {
 			return out, err

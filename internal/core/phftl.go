@@ -333,9 +333,9 @@ func (p *PHFTL) SetRecorder(r obs.Recorder, clockFn func() uint64) {
 	p.meta.SetRecorder(r, clockFn)
 }
 
-// SetTrainWorkers sets how many goroutines each window retraining runs on
-// (see ml.ShardedTrainer.SetWorkers). Deployed weights are bit-identical at
-// any count; only wall-clock changes.
+// SetTrainWorkers pins how many goroutines each window retraining runs on
+// (see ml.ShardedTrainer.SetWorkers; the default is one per CPU). Deployed
+// weights are bit-identical at any count; only wall-clock changes.
 func (p *PHFTL) SetTrainWorkers(n int) { p.trainer.SetWorkers(n) }
 
 // Confusion returns the runtime prediction quality against ground-truth

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"github.com/phftl/phftl/internal/metrics"
 	"github.com/phftl/phftl/internal/ml"
@@ -23,11 +25,34 @@ type ThresholdAdjuster struct {
 	seed         int64
 	last         Decision
 
-	// Pooled probe machinery: three candidates are probed per window, so the
-	// labeling buffers and the logistic-regression evaluator are reused
-	// across windows instead of reallocated (results are bit-identical).
-	probe probeScratch
-	eval  ml.LogRegEvaluator
+	// Pooled probe machinery, one per candidate in probeDirs order: the
+	// three probes of a window run concurrently, and their labeling buffers
+	// and logistic-regression evaluators are reused across windows instead
+	// of reallocated (results are bit-identical).
+	probes [len(probeDirs)]probe
+}
+
+// probeDirs are Algorithm 1's candidates in evaluation order: stay first,
+// then −step and +step.
+var probeDirs = [...]int{0, -1, 1}
+
+// probe is one candidate threshold's labeling and logistic-regression score.
+type probe struct {
+	scratch probeScratch
+	eval    ml.LogRegEvaluator
+	t       float64 // candidate threshold
+	accu    float64 // held-out accuracy, valid when ok
+	ok      bool    // the labeling had both classes
+}
+
+// run labels samples against the candidate threshold and scores it. The
+// result depends on (samples, t, seed) only, so probes may run in any order.
+func (pr *probe) run(samples []probeSample, seed int64) {
+	feats, labels := pr.scratch.labelAndResample(samples, pr.t, 2048)
+	pr.ok = len(feats) > 0
+	if pr.ok {
+		pr.accu = pr.eval.Eval(feats, labels, seed)
+	}
 }
 
 // Decision describes how the last Pick call arrived at its threshold, for
@@ -143,26 +168,29 @@ func (ta *ThresholdAdjuster) Pick(lifetimes []float64, samples []probeSample) fl
 	sort.Float64s(lifetimes)
 	p := metrics.PercentileOfValue(lifetimes, ta.prev)
 
-	// Evaluate the stay-put candidate first: when several candidates yield
+	for i, dir := range probeDirs {
+		ta.probes[i].t = metrics.ValueAtPercentile(lifetimes, p+float64(dir*ta.step))
+	}
+	ta.runProbes(samples)
+
+	// Rank the stay-put candidate first: when several candidates yield
 	// identical labelings (flat accuracy landscape), ties must keep the
 	// current threshold, or the walk drifts systematically in whichever
-	// direction happens to be evaluated first.
+	// direction happens to be ranked first.
 	bestAccu := math.Inf(-1)
 	bestT := ta.prev
 	bestDir := 0
-	for _, dir := range []int{0, -1, 1} {
-		t := metrics.ValueAtPercentile(lifetimes, p+float64(dir*ta.step))
-		if dir != 0 && t == bestT {
+	for i, dir := range probeDirs {
+		pr := &ta.probes[i]
+		if dir != 0 && pr.t == bestT {
 			continue // percentile step collapsed onto the same value
 		}
-		feats, labels := ta.probe.labelAndResample(samples, t, 2048)
-		if len(feats) == 0 {
+		if !pr.ok {
 			continue
 		}
-		accu := ta.eval.Eval(feats, labels, ta.seed)
-		if accu > bestAccu {
-			bestAccu = accu
-			bestT = t
+		if pr.accu > bestAccu {
+			bestAccu = pr.accu
+			bestT = pr.t
 			bestDir = dir
 		}
 	}
@@ -198,4 +226,35 @@ func (ta *ThresholdAdjuster) Pick(lifetimes []float64, samples []probeSample) fl
 		ta.last.ProbeAccuracy = bestAccu
 	}
 	return bestT
+}
+
+// runProbes scores every candidate threshold. A step candidate that collapsed
+// onto stay's threshold reuses stay's score; the others run on goroutines of
+// their own beside stay on the caller, all joined before runProbes returns.
+// With one CPU they run in turn.
+func (ta *ThresholdAdjuster) runProbes(samples []probeSample) {
+	stay := &ta.probes[0]
+	concurrent := runtime.GOMAXPROCS(0) > 1
+	var wg sync.WaitGroup
+	for i := 1; i < len(ta.probes); i++ {
+		pr := &ta.probes[i]
+		switch {
+		case pr.t == stay.t:
+		case concurrent:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pr.run(samples, ta.seed)
+			}()
+		default:
+			pr.run(samples, ta.seed)
+		}
+	}
+	stay.run(samples, ta.seed)
+	wg.Wait()
+	for i := 1; i < len(ta.probes); i++ {
+		if pr := &ta.probes[i]; pr.t == stay.t {
+			pr.accu, pr.ok = stay.accu, stay.ok
+		}
+	}
 }

@@ -182,9 +182,6 @@ func (s *Supervisor) SubmitCell(spec httpd.CellSpec) (string, error) {
 	if spec.OP < 0 || spec.OP >= 0.5 {
 		return "", fmt.Errorf("fleet: op ratio %g out of range [0, 0.5)", spec.OP)
 	}
-	if spec.CellWorkers < 0 {
-		return "", fmt.Errorf("fleet: negative cell_workers %d", spec.CellWorkers)
-	}
 	p := profiles[0]
 
 	s.mu.Lock()
@@ -401,7 +398,7 @@ func defaultExec(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (r
 	_, out, err := runner.Exec(ctx, runner.Job{
 		Cell:    runner.Cell{Trace: spec.Trace, Scheme: sim.Scheme(spec.Scheme), OP: spec.OP},
 		Profile: p, DriveWrites: spec.DriveWrites,
-		Workers: spec.CellWorkers, Live: rc, Sink: true,
+		Live: rc, Sink: true,
 	})
 	return out, err
 }

@@ -32,7 +32,7 @@ func smallExec(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (run
 	_, out, err := runner.Exec(ctx, runner.Job{
 		Cell:    runner.Cell{Trace: spec.Trace, Scheme: sim.Scheme(spec.Scheme)},
 		Profile: p, DriveWrites: spec.DriveWrites,
-		Workers: spec.CellWorkers, Live: rc, Sink: true,
+		Live: rc, Sink: true,
 	})
 	return out, err
 }
@@ -63,7 +63,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Trace: "#52", Scheme: "PHFTL", DriveWrites: -1},
 		{Trace: "#52", Scheme: "PHFTL", OP: -0.1},
 		{Trace: "#52", Scheme: "PHFTL", OP: 0.6},
-		{Trace: "#52", Scheme: "PHFTL", CellWorkers: -2},
 	}
 	for _, spec := range bad {
 		if _, err := s.SubmitCell(spec); err == nil {
@@ -212,13 +211,15 @@ func TestCancelWhileRunning(t *testing.T) {
 }
 
 // TestCellWorkersLeaveNoGoroutines is the regression test for the leak a
-// cell with cell_workers > 1 left behind when it did not finish: the retraining
-// helpers used to belong to the instance and were only stopped by Finish, which
-// a cancelled or failed replay never reached (+3 goroutines per attempt). They
-// now live inside one training pass, so the process returns to its pre-submit
-// goroutine count whether the cell is cancelled mid-replay or fails its way
-// through the restart policy.
+// PHFTL cell with more than one retraining worker left behind when it did not
+// finish: the helpers used to belong to the instance and were only stopped by
+// Finish, which a cancelled or failed replay never reached (+3 goroutines per
+// attempt). They now live inside one training pass (and the threshold probes
+// inside one Pick), so the process returns to its pre-submit goroutine count
+// whether the cell is cancelled mid-replay or fails its way through the
+// restart policy. GOMAXPROCS 4 gives the default trainer all four lanes.
 func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	// A replay that cannot finish inside its deadline fails with
 	// context.DeadlineExceeded — a failure, not a cancellation, to runEntry.
 	timeoutExec := func(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (runner.Output, error) {
@@ -247,7 +248,7 @@ func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
 			s := newSupervisor(t, Config{Workers: 1, MaxRestarts: 1, exec: tc.exec})
 			s.Start()
 			before := runtime.NumGoroutine()
-			name, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "PHFTL", DriveWrites: 100000, CellWorkers: 4})
+			name, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "PHFTL", DriveWrites: 100000})
 			if err != nil {
 				t.Fatal(err)
 			}

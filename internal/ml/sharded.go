@@ -1,6 +1,10 @@
 package ml
 
-import "github.com/phftl/phftl/internal/par"
+import (
+	"runtime"
+
+	"github.com/phftl/phftl/internal/par"
+)
 
 // ShardedTrainer is a data-parallel drop-in for TrainModel. Each mini-batch
 // is split into Lanes fixed, index-ordered shards; every shard accumulates
@@ -28,7 +32,7 @@ import "github.com/phftl/phftl/internal/par"
 // lazily-grown scratch needs.
 type ShardedTrainer struct {
 	lanes   int
-	workers int // goroutines per Train (SetWorkers); <= 1 is serial
+	workers int // goroutines per Train pinned by SetWorkers; 0 derives it
 	master  SequenceModel
 	shadows []SequenceModel
 
@@ -41,8 +45,9 @@ type ShardedTrainer struct {
 	laneFn    func(lane int)
 }
 
-// NewShardedTrainer returns a serial trainer with the given fixed shard count
-// (values < 1 are treated as 1); SetWorkers spreads the shards over goroutines.
+// NewShardedTrainer returns a trainer with the given fixed shard count (values
+// < 1 are treated as 1). Each Train spreads the shards over one goroutine per
+// CPU, min(Lanes, GOMAXPROCS), unless SetWorkers pinned the count.
 func NewShardedTrainer(lanes int) *ShardedTrainer {
 	if lanes < 1 {
 		lanes = 1
@@ -52,12 +57,21 @@ func NewShardedTrainer(lanes int) *ShardedTrainer {
 	return t
 }
 
-// SetWorkers sets how many goroutines each Train call spreads the shards
-// over; n <= 1 is serial, and n is clamped to Lanes (more would only park
-// idle). The helpers live for one Train call: none exists between training
-// passes, so a trainer needs no Close. The count never changes training
-// results, only wall-clock.
-func (t *ShardedTrainer) SetWorkers(n int) { t.workers = min(n, t.lanes) }
+// SetWorkers pins how many goroutines each Train call spreads the shards
+// over, in place of the GOMAXPROCS-derived default; n <= 1 is serial, and n
+// is clamped to Lanes (more would only park idle). The helpers live for one
+// Train call: none exists between training passes, so a trainer needs no
+// Close. The count never changes training results, only wall-clock.
+func (t *ShardedTrainer) SetWorkers(n int) { t.workers = max(1, min(n, t.lanes)) }
+
+// trainWorkers is the goroutine count of the next Train: the pinned count,
+// else one per CPU up to Lanes.
+func (t *ShardedTrainer) trainWorkers() int {
+	if t.workers > 0 {
+		return t.workers
+	}
+	return min(t.lanes, runtime.GOMAXPROCS(0))
+}
 
 // bind (re)builds the per-shard shadows when the master model changes.
 func (t *ShardedTrainer) bind(m SequenceModel) {
@@ -131,7 +145,7 @@ func (t *ShardedTrainer) Train(m SequenceModel, samples []Sample, opt *Adam, cfg
 		batch = 32
 	}
 	t.samples = samples
-	pool := par.New(t.workers) // nil, i.e. serial, below two workers
+	pool := par.New(t.trainWorkers()) // nil, i.e. serial, below two workers
 	defer pool.Close()
 	t.poolLanes = pool.Lanes()
 	lastLoss := 0.0

@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -62,29 +64,44 @@ func requireSameWeights(t *testing.T, want, got [][]uint64, label string) {
 
 // TestShardedTrainerPoolInvariance pins the tentpole determinism contract:
 // deployed weights depend only on the shard count, never on the worker count,
-// so serial training and SetWorkers(2/3/4, or a count past the shard count)
-// yield bit-identical weights.
+// so serial training, SetWorkers(2/3/4, or a count past the shard count) and
+// the GOMAXPROCS-derived default yield bit-identical weights. The pinned-4
+// row at GOMAXPROCS 1 runs more lanes than Ps, the pool's park-at-once path.
 func TestShardedTrainerPoolInvariance(t *testing.T) {
 	const dim = 8
 	samples := shardedTestSamples(120, dim, 42)
 	cfg := TrainConfig{Epochs: 2, BatchSize: 32, LR: 0.01, Seed: 3}
+	rows := []struct {
+		procs   int // GOMAXPROCS during Train; 0 leaves it alone
+		workers int // SetWorkers pin; 0 keeps the derived default
+	}{
+		{0, 2}, {0, 3}, {0, 4}, {0, 1 << 14},
+		{1, 0}, {2, 0}, {4, 0},
+		{1, 4},
+	}
 
 	for name, fresh := range map[string]func(int) SequenceModel{"gru": freshGRU, "mlp": freshMLP} {
 		t.Run(name, func(t *testing.T) {
 			ref := fresh(dim)
 			refTrainer := NewShardedTrainer(4)
+			refTrainer.SetWorkers(1)
 			refLoss := refTrainer.Train(ref, samples, NewAdam(cfg.LR), cfg)
 			want := weightsBits(ref)
 
-			for _, workers := range []int{2, 3, 4, 1 << 14} {
+			for _, row := range rows {
 				m := fresh(dim)
 				tr := NewShardedTrainer(4)
-				tr.SetWorkers(workers)
-				loss := tr.Train(m, samples, NewAdam(cfg.LR), cfg)
-				if math.Float64bits(loss) != math.Float64bits(refLoss) {
-					t.Fatalf("workers=%d: loss %v != serial loss %v", workers, loss, refLoss)
+				if row.workers > 0 {
+					tr.SetWorkers(row.workers)
 				}
-				requireSameWeights(t, want, weightsBits(m), "pool invariance")
+				prev := runtime.GOMAXPROCS(row.procs) // 0 only reads it
+				loss := tr.Train(m, samples, NewAdam(cfg.LR), cfg)
+				runtime.GOMAXPROCS(prev)
+				label := fmt.Sprintf("GOMAXPROCS=%d workers=%d", row.procs, row.workers)
+				if math.Float64bits(loss) != math.Float64bits(refLoss) {
+					t.Fatalf("%s: loss %v != serial loss %v", label, loss, refLoss)
+				}
+				requireSameWeights(t, want, weightsBits(m), label)
 			}
 		})
 	}

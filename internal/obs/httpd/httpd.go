@@ -69,13 +69,13 @@ var (
 
 // CellSpec is the POST /api/v1/cells submission document: one trace×scheme
 // replay with its knobs. Zero-valued optional fields select the service
-// defaults (DriveWrites, CellWorkers) or the standard 7% OP geometry.
+// default DriveWrites or the standard 7% OP geometry. Unknown fields (such as
+// the retired cell_workers) are ignored.
 type CellSpec struct {
 	Trace       string  `json:"trace"`
 	Scheme      string  `json:"scheme"`
 	DriveWrites int     `json:"drive_writes,omitempty"`
 	OP          float64 `json:"op,omitempty"`
-	CellWorkers int     `json:"cell_workers,omitempty"`
 }
 
 // SubmitJSON is the POST /api/v1/cells response.

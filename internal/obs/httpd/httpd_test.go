@@ -296,7 +296,9 @@ func TestControlAPISubmitAndCancel(t *testing.T) {
 	srv := httptest.NewServer(HandlerWith(populated(t), ctrl))
 	defer srv.Close()
 
-	resp, body := post(t, srv, "/api/v1/cells", `{"trace":"#52","scheme":"PHFTL","drive_writes":2}`)
+	// cell_workers is a retired field: unknown fields are ignored, so clients
+	// that still send it keep working.
+	resp, body := post(t, srv, "/api/v1/cells", `{"trace":"#52","scheme":"PHFTL","drive_writes":2,"cell_workers":4}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202: %s", resp.StatusCode, body)
 	}

@@ -1,27 +1,49 @@
 // Package par provides a small deterministic fork-join worker pool for
-// intra-cell parallelism. A Pool owns lanes-1 persistent helper goroutines;
-// Run executes one function across all lanes with the caller participating as
-// lane 0 and returns only when every lane has finished, so the caller's
-// single-threaded invariants hold again at return.
+// intra-cell parallelism. A Pool owns lanes-1 helper goroutines; Run executes
+// one function across all lanes with the caller participating as lane 0 and
+// returns only when every lane has finished, so the caller's single-threaded
+// invariants hold again at return.
 //
 // Determinism is the design constraint, not a side effect: callers partition
 // work by a fixed structural key (the retrainer's shard index) — never by
 // "next free worker" — and apply results in a fixed merge order after Run returns.
 // The pool itself allocates nothing per Run, so parallel phases preserve the
 // steady-state zero-allocation invariant of the replay hot path.
+//
+// The hand-off is spin-then-park. Run bumps an atomic generation; a helper
+// waiting for the next generation, and the caller waiting for the join, each
+// spin for at most spinFor before parking on a condition variable. The spin
+// covers the short serial gap a caller leaves between Runs (the retrainer's
+// gradient reduce and optimizer step), which a park/wake round trip through
+// the scheduler costs far more than. Spinning only pays while every lane has
+// a P of its own; a pool with more lanes than GOMAXPROCS parks at once.
 package par
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// spinFor bounds how long a waiter spins before it parks.
+const spinFor = 50 * time.Microsecond
 
 // Pool is a fixed-size fork-join worker pool. A nil *Pool is valid and runs
 // everything serially on the caller, which keeps "parallelism off" the
 // zero-cost default.
 type Pool struct {
-	lanes int
-	fn    func(lane int)
-	gate  chan int
-	done  sync.WaitGroup // lanes of the Run in flight
-	live  sync.WaitGroup // helper goroutines not yet returned
+	lanes   int
+	spin    bool // every lane has a P of its own (lanes <= GOMAXPROCS at New)
+	fn      func(lane int)
+	gen     atomic.Uint64 // Run count; helpers run fn once per increment
+	pending atomic.Int32  // helper lanes of the Run in flight not yet done
+	closed  atomic.Bool
+
+	mu     sync.Mutex
+	wake   sync.Cond      // helpers park here for the next generation
+	joined sync.Cond      // the caller parks here for pending to reach 0
+	live   sync.WaitGroup // helper goroutines not yet returned
 }
 
 // New creates a pool with the given number of lanes (caller + lanes-1 helper
@@ -30,10 +52,12 @@ func New(lanes int) *Pool {
 	if lanes <= 1 {
 		return nil
 	}
-	p := &Pool{lanes: lanes, gate: make(chan int)}
+	p := &Pool{lanes: lanes, spin: lanes <= runtime.GOMAXPROCS(0)}
+	p.wake.L = &p.mu
+	p.joined.L = &p.mu
 	p.live.Add(lanes - 1)
 	for i := 1; i < lanes; i++ {
-		go p.helper()
+		go p.helper(i)
 	}
 	return p
 }
@@ -46,11 +70,45 @@ func (p *Pool) Lanes() int {
 	return p.lanes
 }
 
-func (p *Pool) helper() {
+// await returns once done() holds, spinning first when the pool may spin and
+// parking on c otherwise. Whoever makes done() true must do so before taking
+// p.mu to signal c, so a waiter that checked under p.mu cannot miss it.
+func (p *Pool) await(c *sync.Cond, done func() bool) {
+	if p.spin {
+		for start := time.Now(); time.Since(start) < spinFor; {
+			if done() {
+				return
+			}
+		}
+	}
+	p.mu.Lock()
+	for !done() {
+		c.Wait()
+	}
+	p.mu.Unlock()
+}
+
+// signal wakes the waiters on c after their condition became true.
+func (p *Pool) signal(c *sync.Cond) {
+	p.mu.Lock()
+	c.Broadcast()
+	p.mu.Unlock()
+}
+
+func (p *Pool) helper(lane int) {
 	defer p.live.Done()
-	for lane := range p.gate {
+	var seen uint64
+	next := func() bool { return p.gen.Load() != seen || p.closed.Load() }
+	for {
+		p.await(&p.wake, next)
+		if p.closed.Load() {
+			return
+		}
+		seen++ // Run waits for every lane, so generations arrive one at a time
 		p.fn(lane)
-		p.done.Done()
+		if p.pending.Add(-1) == 0 {
+			p.signal(&p.joined)
+		}
 	}
 }
 
@@ -68,13 +126,14 @@ func (p *Pool) Run(fn func(lane int)) {
 		return
 	}
 	p.fn = fn
-	p.done.Add(p.lanes - 1)
-	for i := 1; i < p.lanes; i++ {
-		p.gate <- i
-	}
+	p.pending.Store(int32(p.lanes - 1))
+	p.gen.Add(1)
+	p.signal(&p.wake)
 	fn(0)
-	p.done.Wait()
+	p.await(&p.joined, p.allJoined)
 }
+
+func (p *Pool) allJoined() bool { return p.pending.Load() == 0 }
 
 // Close stops the helper goroutines and returns once they have exited. The
 // pool must not be used after Close. Close on a nil pool is a no-op.
@@ -82,6 +141,7 @@ func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
-	close(p.gate)
+	p.closed.Store(true)
+	p.signal(&p.wake)
 	p.live.Wait()
 }

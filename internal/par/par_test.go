@@ -1,8 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNilPoolRunsSerially(t *testing.T) {
@@ -94,5 +96,42 @@ func TestRunZeroAllocs(t *testing.T) {
 	p.Run(fn)
 	if allocs := testing.AllocsPerRun(100, func() { p.Run(fn) }); allocs != 0 {
 		t.Errorf("Run allocates %.2f per call, want 0", allocs)
+	}
+}
+
+// TestRunStressNoLostWakeups drives 10 000 fork-joins per pool at lanes 2–5,
+// at GOMAXPROCS 1 (every waiter parks at once) and 2 (lanes up to 2 spin
+// first). Every lane stamps its own slot with the round number and the join
+// checks all slots, so a lane that ran twice, ran late or was never woken
+// fails here or hangs the test (run it with a short -timeout). After Close
+// the goroutine count must return to its baseline.
+func TestRunStressNoLostWakeups(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		for lanes := 2; lanes <= 5; lanes++ {
+			p := New(lanes)
+			slots := make([]int, lanes)
+			round := 0
+			fn := func(lane int) { slots[lane] = round }
+			for round = 1; round <= 10000; round++ {
+				p.Run(fn)
+				for lane, got := range slots {
+					if got != round {
+						t.Fatalf("GOMAXPROCS=%d lanes=%d: lane %d saw round %d at join %d", procs, lanes, lane, got, round)
+					}
+				}
+			}
+			p.Close()
+		}
+		// A helper has signalled Close but may not have unwound yet.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if left := runtime.NumGoroutine() - before; left > 0 {
+			t.Errorf("GOMAXPROCS=%d: %d helper goroutines outlived Close", procs, left)
+		}
 	}
 }

@@ -24,8 +24,6 @@ type Job struct {
 	// Source, when non-nil, is replayed to its end in place of the generator
 	// (a trace file); DriveWrites and ctx then do not apply.
 	Source trace.RecordSource
-	// Workers is the instance's SetCellWorkers count.
-	Workers int
 	// Live, when non-nil, publishes the replay into the live registry.
 	Live *registry.Cell
 	// SampleEvery is the sampling interval in user-page writes (0 = default).
@@ -52,7 +50,6 @@ func Exec(ctx context.Context, j Job) (*sim.Instance, Output, error) {
 	if err != nil {
 		return nil, Output{}, err
 	}
-	in.SetCellWorkers(j.Workers)
 	Observe(in, j.Live, j.SampleEvery, j.Sink)
 	var out Output
 	if j.Source == nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunOnCtxCancel pins cooperative cancellation through the replay loop:
-// a cancelled context stops the run early (at any -cell-workers) and
+// a cancelled context stops the run early (at any retraining worker count) and
 // surfaces context.Canceled through the run-tagged error, which is how the
 // fleet supervisor distinguishes a user cancel from a genuine failure.
 func TestRunOnCtxCancel(t *testing.T) {

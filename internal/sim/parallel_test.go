@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func victims(events []obs.Event) []int32 {
 	return v
 }
 
-// TestCellWorkersDeterminism pins the -cell-workers contract: for every
+// TestCellWorkersDeterminism pins the worker-count contract: for every
 // (trace, scheme) cell, replaying with 2 and 4 workers must produce results,
 // event streams, GC victim sequences and telemetry samples byte-identical to
 // the serial replay. Under -race this doubles as the data-race check on the
@@ -126,10 +127,10 @@ func TestCellWorkersErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSetCellWorkersBoundsGoroutines pins that a hostile worker count (the
-// fleet API forwards cell_workers unchecked) cannot start more goroutines
-// than the retrainer has shards, that a scheme without a trainer starts none,
-// that none exists before the replay, and that none outlives it.
+// TestSetCellWorkersBoundsGoroutines pins that a hostile worker count cannot
+// start more goroutines than the retrainer has shards, that a scheme without
+// a trainer starts none, that none exists before the replay, and that none
+// outlives it.
 func TestSetCellWorkersBoundsGoroutines(t *testing.T) {
 	p := smallProfile()
 	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
@@ -146,38 +147,78 @@ func TestSetCellWorkersBoundsGoroutines(t *testing.T) {
 		if grew := runtime.NumGoroutine() - before; grew != 0 {
 			t.Errorf("%s: SetCellWorkers started %d goroutines outside a training pass", tc.scheme, grew)
 		}
-		// Replay on a second goroutine and watch the count from this one:
-		// the helpers exist only while a window is being retrained.
-		done := make(chan error, 1)
-		go func() {
-			_, err := RunOn(in, p, 2)
-			done <- err
-		}()
-		peak, running := 0, true
-		for running {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-				running = false
-			default:
-				peak = max(peak, runtime.NumGoroutine()-before-1) // minus the replay goroutine
-				runtime.Gosched()
-			}
-		}
-		if peak > tc.max {
+		if peak, _ := helperPeak(t, in, p, 2); peak > tc.max {
 			t.Errorf("%s: SetCellWorkers(1<<14) ran %d helper goroutines, want <= %d", tc.scheme, peak, tc.max)
 		}
-		// The replay goroutine above is still unwinding when done is read.
-		deadline := time.Now().Add(10 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			runtime.Gosched()
+	}
+}
+
+// TestDefaultCellUsesSecondCPU pins the default worker count: with two Ps a
+// PHFTL cell built without any pin runs at least one helper goroutine during
+// its window ends and none after the replay; with one P it runs none. A
+// helper is recognised by its stack, since the runtime can briefly count a
+// goroutine of its own (the finalizer runner) among the user's.
+func TestDefaultCellUsesSecondCPU(t *testing.T) {
+	p := smallProfile()
+	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		in, err := Build(SchemePHFTL, geo, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if left := runtime.NumGoroutine() - before; left > 0 {
-			t.Errorf("%s: %d goroutines still running after the replay", tc.scheme, left)
+		_, saw := helperPeak(t, in, p, 2)
+		if procs == 1 && saw {
+			t.Errorf("GOMAXPROCS=1: default cell ran a helper goroutine")
+		}
+		if procs > 1 && !saw {
+			t.Errorf("GOMAXPROCS=%d: default cell ran no helper goroutine", procs)
 		}
 	}
+}
+
+// helperPeak replays dw drive writes of p on a second goroutine, watching
+// the goroutine count from this one, and returns the most goroutines seen
+// beside the replay's own and whether one of them was a retraining or
+// threshold-probe helper. It fails the test if any is still running once the
+// replay has returned: helpers exist only inside a window end.
+func helperPeak(t *testing.T, in *Instance, p workload.Profile, dw int) (peak int, sawHelper bool) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunOn(in, p, dw)
+		done <- err
+	}()
+	buf := make([]byte, 1<<20)
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+			n := runtime.NumGoroutine() - before - 1 // minus the replay goroutine
+			peak = max(peak, n)
+			if n > 0 && !sawHelper {
+				stacks := string(buf[:runtime.Stack(buf, true)])
+				sawHelper = strings.Contains(stacks, "par.(*Pool).helper") ||
+					strings.Contains(stacks, "core.(*ThresholdAdjuster).runProbes")
+			}
+			runtime.Gosched()
+		}
+	}
+	// The replay goroutine above is still unwinding when done is read.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if left := runtime.NumGoroutine() - before; left > 0 {
+		t.Errorf("%s: %d goroutines still running after the replay", in.Scheme, left)
+	}
+	return peak, sawHelper
 }
 
 // failingSource yields records then fails with a fixed error.

@@ -81,12 +81,14 @@ type Instance struct {
 	Obs *Observation
 }
 
-// SetCellWorkers sets how many goroutines retrain PHFTL's classifier at each
-// window end: the retrainer's core.TrainerLanes gradient shards are spread
+// SetCellWorkers pins how many goroutines retrain PHFTL's classifier at each
+// window end, in place of the default of one per CPU (min(TrainerLanes,
+// GOMAXPROCS)): the retrainer's core.TrainerLanes gradient shards are spread
 // over n goroutines that exist only for the duration of a training pass.
 // Values above TrainerLanes are clamped to it, n <= 1 is serial, and a scheme
 // without a trainer (Base/2R/SepBIT) ignores the call. Results are
-// byte-identical for every n; only wall-clock changes.
+// byte-identical for every n; only wall-clock changes. Benchmarks and tests
+// use it; the binaries leave the default (GOMAXPROCS=1 makes a run serial).
 func (in *Instance) SetCellWorkers(n int) {
 	if in.PHFTL != nil {
 		in.PHFTL.SetTrainWorkers(n)
