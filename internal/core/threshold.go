@@ -4,10 +4,10 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/phftl/phftl/internal/metrics"
 	"github.com/phftl/phftl/internal/ml"
+	"github.com/phftl/phftl/internal/par"
 )
 
 // ThresholdAdjuster implements the paper's Algorithm 1: at the end of each
@@ -229,29 +229,26 @@ func (ta *ThresholdAdjuster) Pick(lifetimes []float64, samples []probeSample) fl
 }
 
 // runProbes scores every candidate threshold. A step candidate that collapsed
-// onto stay's threshold reuses stay's score; the others run on goroutines of
-// their own beside stay on the caller, all joined before runProbes returns.
-// With one CPU they run in turn.
+// onto stay's threshold reuses stay's score; the others run as lanes of a
+// par.Pool beside stay, created and closed before runProbes returns, so they
+// get the pool's treatment: helpers on spare CPU, and the caller scores
+// whatever no helper has started. With one CPU they run in turn.
 func (ta *ThresholdAdjuster) runProbes(samples []probeSample) {
 	stay := &ta.probes[0]
-	concurrent := runtime.GOMAXPROCS(0) > 1
-	var wg sync.WaitGroup
-	for i := 1; i < len(ta.probes); i++ {
-		pr := &ta.probes[i]
-		switch {
-		case pr.t == stay.t:
-		case concurrent:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pr.run(samples, ta.seed)
-			}()
-		default:
+	probe := func(i int) {
+		if pr := &ta.probes[i]; i == 0 || pr.t != stay.t {
 			pr.run(samples, ta.seed)
 		}
 	}
-	stay.run(samples, ta.seed)
-	wg.Wait()
+	if runtime.GOMAXPROCS(0) > 1 {
+		pool := par.New(len(ta.probes))
+		pool.Run(probe)
+		pool.Close()
+	} else {
+		for i := range ta.probes {
+			probe(i)
+		}
+	}
 	for i := 1; i < len(ta.probes); i++ {
 		if pr := &ta.probes[i]; pr.t == stay.t {
 			pr.accu, pr.ok = stay.accu, stay.ok

@@ -15,9 +15,10 @@ import (
 // Determinism contract: the deployed weights depend only on Lanes, never on
 // the worker count — the shard partition, the within-shard accumulation order,
 // and the reduction order are all fixed, so training on 1 (serial), 2 or 4
-// goroutines produces bit-identical weights. Shards are distributed over
-// workers by striding (shard ≡ worker mod worker count), which keeps shard
-// contents independent of how many goroutines happen to exist.
+// goroutines produces bit-identical weights. Shards are distributed over the
+// pool's lanes by striding (shard ≡ lane mod lane count), and a lane's work
+// depends on its index alone, which keeps shard contents independent of how
+// many goroutines happen to exist and of which one runs a lane.
 //
 // With Lanes == 1 the trainer reduces a single shard accumulated in shuffled
 // sample order into zeroed master gradients — numerically identical to

@@ -1,22 +1,34 @@
 // Package par provides a small deterministic fork-join worker pool for
 // intra-cell parallelism. A Pool owns lanes-1 helper goroutines; Run executes
-// one function across all lanes with the caller participating as lane 0 and
+// one function once for every lane, on the caller and the helpers, and
 // returns only when every lane has finished, so the caller's single-threaded
 // invariants hold again at return.
 //
 // Determinism is the design constraint, not a side effect: callers partition
 // work by a fixed structural key (the retrainer's shard index) — never by
-// "next free worker" — and apply results in a fixed merge order after Run returns.
-// The pool itself allocates nothing per Run, so parallel phases preserve the
-// steady-state zero-allocation invariant of the replay hot path.
+// "next free worker" — and apply results in a fixed merge order after Run
+// returns. Which goroutine runs a lane is not fixed: the caller and the
+// helpers claim lanes from a shared counter, so a lane's result must depend on
+// its index alone. The pool itself allocates nothing per Run, so parallel
+// phases preserve the steady-state zero-allocation invariant of the replay
+// hot path.
 //
 // The hand-off is spin-then-park. Run bumps an atomic generation; a helper
-// waiting for the next generation, and the caller waiting for the join, each
-// spin for at most spinFor before parking on a condition variable. The spin
-// covers the short serial gap a caller leaves between Runs (the retrainer's
-// gradient reduce and optimizer step), which a park/wake round trip through
-// the scheduler costs far more than. Spinning only pays while every lane has
-// a P of its own; a pool with more lanes than GOMAXPROCS parks at once.
+// waiting for the next generation spins for at most wakeSpin, and the caller
+// waiting for the join for at most joinSpin, before parking on a condition
+// variable. The helper's spin covers the short serial gap a caller leaves
+// between Runs (the retrainer's gradient reduce and optimizer step), which a
+// park/wake round trip through the scheduler costs far more than. Spinning
+// only pays while every lane has a P of its own; a pool with more lanes than
+// GOMAXPROCS parks at once.
+//
+// Helpers use spare CPU only. Each runs on an OS thread locked to it for its
+// lifetime at the lowest scheduling priority (background, foreground), so on
+// a host whose CPUs other work wants, the helpers yield to it instead of
+// crowding it out. The caller keeps its priority and claims lanes like a
+// helper, so it runs every lane no helper has started: a helper the host does
+// not schedule delays nothing, and a busy host degrades a Run to the serial
+// speed, not below it.
 package par
 
 import (
@@ -26,23 +38,33 @@ import (
 	"time"
 )
 
-// spinFor bounds how long a waiter spins before it parks.
-const spinFor = 50 * time.Microsecond
+// How long a waiter spins before it parks. A helper's thread is locked to it,
+// so waking a parked helper hands its P to that one thread: on the 2-vCPU
+// reference host the hand-off often took longer than a lane, and the caller,
+// having claimed the lane meanwhile, ran the mini-batch alone (a third of them
+// at 50 µs). 200 µs spans the serial gap between a retraining pass's
+// mini-batches (about 50 µs) with room for the lanes' imbalance, and it costs
+// other work nothing: the helper spins at the lowest priority.
+const (
+	wakeSpin = 200 * time.Microsecond // a helper, for the next Run
+	joinSpin = 50 * time.Microsecond  // the caller, for the join
+)
 
 // Pool is a fixed-size fork-join worker pool. A nil *Pool is valid and runs
 // everything serially on the caller, which keeps "parallelism off" the
 // zero-cost default.
 type Pool struct {
-	lanes   int
-	spin    bool // every lane has a P of its own (lanes <= GOMAXPROCS at New)
-	fn      func(lane int)
-	gen     atomic.Uint64 // Run count; helpers run fn once per increment
-	pending atomic.Int32  // helper lanes of the Run in flight not yet done
-	closed  atomic.Bool
+	lanes  int
+	spin   bool // every lane has a P of its own (lanes <= GOMAXPROCS at New)
+	fn     func(lane int)
+	gen    atomic.Uint64 // Run count; helpers wake once per increment
+	next   atomic.Int32  // lanes of the Run in flight claimed so far
+	left   atomic.Int32  // lanes of the Run in flight not yet finished
+	closed atomic.Bool
 
 	mu     sync.Mutex
 	wake   sync.Cond      // helpers park here for the next generation
-	joined sync.Cond      // the caller parks here for pending to reach 0
+	joined sync.Cond      // the caller parks here for left to reach 0
 	live   sync.WaitGroup // helper goroutines not yet returned
 }
 
@@ -57,7 +79,7 @@ func New(lanes int) *Pool {
 	p.joined.L = &p.mu
 	p.live.Add(lanes - 1)
 	for i := 1; i < lanes; i++ {
-		go p.helper(i)
+		go p.helper()
 	}
 	return p
 }
@@ -70,12 +92,13 @@ func (p *Pool) Lanes() int {
 	return p.lanes
 }
 
-// await returns once done() holds, spinning first when the pool may spin and
-// parking on c otherwise. Whoever makes done() true must do so before taking
-// p.mu to signal c, so a waiter that checked under p.mu cannot miss it.
-func (p *Pool) await(c *sync.Cond, done func() bool) {
+// await returns once done() holds, spinning for up to spin first when the
+// pool may spin and parking on c otherwise. Whoever makes done() true must do
+// so before taking p.mu to signal c, so a waiter that checked under p.mu
+// cannot miss it.
+func (p *Pool) await(c *sync.Cond, done func() bool, spin time.Duration) {
 	if p.spin {
-		for start := time.Now(); time.Since(start) < spinFor; {
+		for start := time.Now(); time.Since(start) < spin; {
 			if done() {
 				return
 			}
@@ -95,28 +118,53 @@ func (p *Pool) signal(c *sync.Cond) {
 	p.mu.Unlock()
 }
 
-func (p *Pool) helper(lane int) {
+// helperWoke, when set by a test, runs in a helper after it has seen a new
+// generation and before it claims a lane.
+var helperWoke func()
+
+func (p *Pool) helper() {
 	defer p.live.Done()
+	defer foreground(background()) // background runs now, foreground on return
 	var seen uint64
-	next := func() bool { return p.gen.Load() != seen || p.closed.Load() }
+	woke := func() bool { return p.gen.Load() != seen || p.closed.Load() }
 	for {
-		p.await(&p.wake, next)
+		p.await(&p.wake, woke, wakeSpin)
 		if p.closed.Load() {
 			return
 		}
-		seen++ // Run waits for every lane, so generations arrive one at a time
+		// A helper the host left unscheduled may have missed whole Runs;
+		// it only ever claims lanes of the one in flight.
+		seen = p.gen.Load()
+		if helperWoke != nil {
+			helperWoke()
+		}
+		p.work()
+	}
+}
+
+// work claims and runs lanes of the Run in flight until none is left
+// unclaimed. Whoever finishes the last lane wakes the joining caller. A claim
+// that comes after the Run's last lane finished gets an index past the end,
+// because every index below it was claimed, so a late helper runs nothing.
+func (p *Pool) work() {
+	for {
+		lane := int(p.next.Add(1) - 1)
+		if lane >= p.lanes {
+			return
+		}
 		p.fn(lane)
-		if p.pending.Add(-1) == 0 {
+		if p.left.Add(-1) == 0 {
 			p.signal(&p.joined)
 		}
 	}
 }
 
 // Run executes fn(lane) for every lane in [0, Lanes()) and returns when all
-// are done. The caller runs lane 0; helpers run the rest concurrently. fn
-// must confine its writes to lane-indexed state — Run provides the
-// happens-before edges at fork and join, nothing in between. On a nil pool
-// Run degenerates to fn(0).
+// are done. The caller and the helpers each claim the next unclaimed lane
+// until none is left, so the caller runs every lane no helper has started by
+// the time it looks. fn must confine its writes to lane-indexed
+// state — Run provides the happens-before edges at fork and join, nothing in
+// between. On a nil pool Run degenerates to fn(0).
 //
 // To keep Run allocation-free, pass a pre-bound function value (a field
 // holding a method value), not a fresh closure.
@@ -126,14 +174,15 @@ func (p *Pool) Run(fn func(lane int)) {
 		return
 	}
 	p.fn = fn
-	p.pending.Store(int32(p.lanes - 1))
+	p.left.Store(int32(p.lanes))
+	p.next.Store(0)
 	p.gen.Add(1)
 	p.signal(&p.wake)
-	fn(0)
-	p.await(&p.joined, p.allJoined)
+	p.work()
+	p.await(&p.joined, p.allJoined, joinSpin)
 }
 
-func (p *Pool) allJoined() bool { return p.pending.Load() == 0 }
+func (p *Pool) allJoined() bool { return p.left.Load() == 0 }
 
 // Close stops the helper goroutines and returns once they have exited. The
 // pool must not be used after Close. Close on a nil pool is a no-op.

@@ -99,6 +99,53 @@ func TestRunZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRunDoesNotWaitForAStalledHelper holds every helper between its wake-up
+// and its first claim, as a host that does not schedule a low-priority thread
+// would, and requires Run to finish anyway: the caller claims and runs the
+// lanes no helper has started. With lanes fixed to goroutines Run would wait
+// for the stalled helpers and the test would time out.
+func TestRunDoesNotWaitForAStalledHelper(t *testing.T) {
+	const lanes = 3
+	stalled := make(chan struct{}, 64)
+	release := make(chan struct{})
+	helperWoke = func() {
+		stalled <- struct{}{}
+		<-release
+	}
+	defer func() { helperWoke = nil }()
+	p := New(lanes)
+	hits := make([]int, lanes)
+	fn := func(lane int) { hits[lane]++ }
+	run := func(round int) {
+		done := make(chan struct{})
+		go func() {
+			p.Run(fn)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Run waited for a stalled helper", round)
+		}
+		for lane, h := range hits {
+			if h != round {
+				t.Fatalf("round %d: lane %d ran %d times", round, lane, h)
+			}
+		}
+	}
+	run(1)
+	// Both helpers have now seen a Run and sit in the hook; the next Runs
+	// are the caller's alone.
+	for i := 0; i < lanes-1; i++ {
+		<-stalled
+	}
+	for round := 2; round <= 5; round++ {
+		run(round)
+	}
+	close(release)
+	p.Close()
+}
+
 // TestRunStressNoLostWakeups drives 10 000 fork-joins per pool at lanes 2–5,
 // at GOMAXPROCS 1 (every waiter parks at once) and 2 (lanes up to 2 spin
 // first). Every lane stamps its own slot with the round number and the join
@@ -114,7 +161,13 @@ func TestRunStressNoLostWakeups(t *testing.T) {
 			p := New(lanes)
 			slots := make([]int, lanes)
 			round := 0
-			fn := func(lane int) { slots[lane] = round }
+			fn := func(lane int) {
+				// Long enough that a spinning helper claims lanes too,
+				// short enough for -race -count=10.
+				for t0 := time.Now(); time.Since(t0) < 2*time.Microsecond; {
+				}
+				slots[lane] = round
+			}
 			for round = 1; round <= 10000; round++ {
 				p.Run(fn)
 				for lane, got := range slots {
