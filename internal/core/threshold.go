@@ -229,26 +229,25 @@ func (ta *ThresholdAdjuster) Pick(lifetimes []float64, samples []probeSample) fl
 }
 
 // runProbes scores every candidate threshold. A step candidate that collapsed
-// onto stay's threshold reuses stay's score; the others run as lanes of a
-// par.Pool beside stay, created and closed before runProbes returns, so they
-// get the pool's treatment: helpers on spare CPU, and the caller scores
-// whatever no helper has started. With one CPU they run in turn.
+// onto stay's threshold reuses stay's score; the others run spread over the
+// lanes of a par.Pool, one per CPU up to one per probe, created and closed
+// before runProbes returns. With one CPU, or one probe to run, they run in
+// turn on the caller.
 func (ta *ThresholdAdjuster) runProbes(samples []probeSample) {
 	stay := &ta.probes[0]
-	probe := func(i int) {
+	todo := make([]*probe, 0, len(ta.probes))
+	for i := range ta.probes {
 		if pr := &ta.probes[i]; i == 0 || pr.t != stay.t {
-			pr.run(samples, ta.seed)
+			todo = append(todo, pr)
 		}
 	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		pool := par.New(len(ta.probes))
-		pool.Run(probe)
-		pool.Close()
-	} else {
-		for i := range ta.probes {
-			probe(i)
+	pool := par.New(min(len(todo), runtime.GOMAXPROCS(0)))
+	pool.Run(func(lane int) {
+		for i := lane; i < len(todo); i += pool.Lanes() {
+			todo[i].run(samples, ta.seed)
 		}
-	}
+	})
+	pool.Close()
 	for i := 1; i < len(ta.probes); i++ {
 		if pr := &ta.probes[i]; pr.t == stay.t {
 			pr.accu, pr.ok = stay.accu, stay.ok

@@ -2,8 +2,12 @@
 
 package par
 
-// background and foreground leave a helper at the process's priority where
-// a thread's own priority is not set here.
-func background() (prev int, lowered bool) { return 0, false }
+// thread leaves a helper at the process's priority where a thread's own
+// priority is not set here.
+type thread struct{}
 
-func foreground(prev int, lowered bool) {}
+func spareThread() thread { return thread{} }
+
+func (thread) busy()    {}
+func (thread) idle()    {}
+func (thread) release() {}

@@ -22,13 +22,16 @@
 // only pays while every lane has a P of its own; a pool with more lanes than
 // GOMAXPROCS parks at once.
 //
-// Helpers use spare CPU only. Each runs on an OS thread locked to it for its
-// lifetime at the lowest scheduling priority (background, foreground), so on
-// a host whose CPUs other work wants, the helpers yield to it instead of
-// crowding it out. The caller keeps its priority and claims lanes like a
-// helper, so it runs every lane no helper has started: a helper the host does
-// not schedule delays nothing, and a busy host degrades a Run to the serial
-// speed, not below it.
+// Helpers claim lanes on spare CPU only. Each waits for a Run on an OS
+// thread locked to it at the lowest scheduling priority, so on a host whose
+// CPUs other work wants, a helper rarely gets to claim a lane. A helper that
+// does get a CPU raises its thread back to its own priority before it
+// claims, so a lane it holds does not stall behind the host's other work.
+// The caller keeps its priority and claims lanes like a helper, so it runs
+// every lane no helper has started: a helper the host does not schedule
+// delays nothing. Where the process may not raise a thread's priority back
+// (an ordinary user on Linux), helpers stay at the process's priority and
+// only the claiming applies.
 package par
 
 import (
@@ -38,13 +41,13 @@ import (
 	"time"
 )
 
-// How long a waiter spins before it parks. A helper's thread is locked to it,
-// so waking a parked helper hands its P to that one thread: on the 2-vCPU
+// How long a waiter spins before it parks. Waking a parked helper whose
+// thread is locked to it hands its P to that one thread: on the 2-vCPU
 // reference host the hand-off often took longer than a lane, and the caller,
 // having claimed the lane meanwhile, ran the mini-batch alone (a third of them
 // at 50 µs). 200 µs spans the serial gap between a retraining pass's
-// mini-batches (about 50 µs) with room for the lanes' imbalance, and it costs
-// other work nothing: the helper spins at the lowest priority.
+// mini-batches (about 50 µs) with room for the lanes' imbalance; where
+// priorities are set, the helper spins at the lowest.
 const (
 	wakeSpin = 200 * time.Microsecond // a helper, for the next Run
 	joinSpin = 50 * time.Microsecond  // the caller, for the join
@@ -124,7 +127,8 @@ var helperWoke func()
 
 func (p *Pool) helper() {
 	defer p.live.Done()
-	defer foreground(background()) // background runs now, foreground on return
+	th := spareThread()
+	defer th.release()
 	var seen uint64
 	woke := func() bool { return p.gen.Load() != seen || p.closed.Load() }
 	for {
@@ -138,7 +142,11 @@ func (p *Pool) helper() {
 		if helperWoke != nil {
 			helperWoke()
 		}
+		// Raised before it claims: preempted at the lowest priority while
+		// it held a lane, the helper would keep the caller waiting.
+		th.busy()
 		p.work()
+		th.idle()
 	}
 }
 
