@@ -14,7 +14,6 @@ import (
 
 	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/obs"
-	"github.com/phftl/phftl/internal/rbtree"
 )
 
 // HiddenBytes is the size of the cached, 8-bit-quantized GRU hidden state
@@ -116,8 +115,10 @@ type cacheEnt struct {
 // MetaStore implements PHFTL's metadata management: entries for open
 // superblocks accumulate in RAM buffers; when a superblock closes they are
 // sealed into its tail meta pages; reads of closed-superblock metadata go
-// through an on-demand RAM cache of meta pages, indexed by MPPN with a
-// red-black tree and evicted LRU (§III-C, Figure 4).
+// through an on-demand RAM cache of meta pages, evicted LRU (§III-C,
+// Figure 4). The paper indexes the cache with a red-black tree; a map keyed
+// by MPPN serves the same lookups, and hits, misses and evictions depend
+// only on the LRU order and the capacity.
 type MetaStore struct {
 	geo            nand.Geometry
 	dataPages      int
@@ -127,18 +128,10 @@ type MetaStore struct {
 
 	openBufs map[int][]Entry // superblock -> per-offset entries
 
-	cache    *rbtree.Tree[nand.PPN, *cacheEnt]
+	cache    map[nand.PPN]*cacheEnt
 	lruHead  *cacheEnt
 	lruTail  *cacheEnt
 	capacity int
-
-	// memo is a one-slot MRU memo in front of the red-black-tree lookup:
-	// consecutive Gets of entries sharing a meta page (the paper's batching
-	// locality, the common case on the write path) skip the tree walk
-	// entirely. Invariant: memo, when non-nil, is the LRU head. Memo hits
-	// count as cache hits and emit the same event, so telemetry is
-	// unaffected by the memo layer.
-	memo *cacheEnt
 
 	// freeEnts recycles evicted cacheEnts (linked through next) and
 	// entryPool recycles open-superblock Entry buffers, so steady-state GC
@@ -171,7 +164,7 @@ func NewMetaStore(geo nand.Geometry, dataPages, metaPages, entriesPerPage int, c
 		entriesPerPage: entriesPerPage,
 		reader:         reader,
 		openBufs:       make(map[int][]Entry),
-		cache:          rbtree.New[nand.PPN, *cacheEnt](),
+		cache:          make(map[nand.PPN]*cacheEnt, capPages+1),
 		capacity:       capPages,
 	}
 }
@@ -202,7 +195,7 @@ func (m *MetaStore) emit(kind obs.Kind, mppn nand.PPN) {
 func (m *MetaStore) CacheCapacity() int { return m.capacity }
 
 // CacheLen returns the number of currently cached meta pages.
-func (m *MetaStore) CacheLen() int { return m.cache.Len() }
+func (m *MetaStore) CacheLen() int { return len(m.cache) }
 
 // MPPNFor returns the meta-page PPN holding the entry of the data page at
 // ppn.
@@ -256,22 +249,12 @@ func (m *MetaStore) Invalidate(ppn nand.PPN) {
 // owned by the cache and only valid until the entry is evicted or dropped;
 // callers decode out of it immediately.
 func (m *MetaStore) metaPage(mppn nand.PPN) ([]byte, error) {
-	if ent := m.memo; ent != nil && ent.mppn == mppn {
-		// Same bookkeeping as a tree hit; the memo is the LRU head, so no
-		// LRU movement is needed.
-		m.stats.CacheHits++
-		if m.rec != nil {
-			m.emit(obs.KindMetaCacheHit, mppn)
-		}
-		return ent.buf, nil
-	}
-	if ent, ok := m.cache.Get(mppn); ok {
+	if ent, ok := m.cache[mppn]; ok {
 		m.stats.CacheHits++
 		if m.rec != nil {
 			m.emit(obs.KindMetaCacheHit, mppn)
 		}
 		m.lruTouch(ent)
-		m.memo = ent
 		return ent.buf, nil
 	}
 	m.stats.CacheMisses++
@@ -291,21 +274,17 @@ func (m *MetaStore) metaPage(mppn nand.PPN) ([]byte, error) {
 		ent = &cacheEnt{mppn: mppn}
 	}
 	ent.buf = append(ent.buf[:0], data...) // copy out of device memory
-	m.cache.Put(mppn, ent)
+	m.cache[mppn] = ent
 	m.lruPush(ent)
-	m.memo = ent
-	for m.cache.Len() > m.capacity {
+	for len(m.cache) > m.capacity {
 		m.evictLRU()
 	}
 	return ent.buf, nil
 }
 
-// releaseEnt returns a cacheEnt (already unlinked from LRU and tree) to the
+// releaseEnt returns a cacheEnt (already unlinked from LRU and index) to the
 // freelist, keeping its buffer capacity for the next miss.
 func (m *MetaStore) releaseEnt(e *cacheEnt) {
-	if m.memo == e {
-		m.memo = nil
-	}
 	e.prev = nil
 	e.next = m.freeEnts
 	m.freeEnts = e
@@ -351,7 +330,7 @@ func (m *MetaStore) evictLRU() {
 		return
 	}
 	m.lruUnlink(victim)
-	m.cache.Delete(victim.mppn)
+	delete(m.cache, victim.mppn)
 	if m.rec != nil {
 		m.emit(obs.KindMetaCacheEvict, victim.mppn)
 	}
@@ -416,9 +395,9 @@ func (m *MetaStore) DropSB(sb int) {
 	}
 	for p := 0; p < m.metaPages; p++ {
 		mppn := m.geo.SuperblockPPN(sb, m.dataPages+p)
-		if ent, ok := m.cache.Get(mppn); ok {
+		if ent, ok := m.cache[mppn]; ok {
 			m.lruUnlink(ent)
-			m.cache.Delete(mppn)
+			delete(m.cache, mppn)
 			m.releaseEnt(ent)
 		}
 	}
