@@ -572,28 +572,6 @@ func (f *FTL) collect(victim int) error {
 	return nil
 }
 
-// SuperblockView returns the policy view of any superblock (for inspection
-// and tests).
-func (f *FTL) SuperblockView(id int) SBView {
-	sb := &f.sbs[id]
-	written := sb.writePtr
-	if sb.state == SBClosed {
-		written = f.dataPages
-	}
-	return SBView{
-		ID:         id,
-		Stream:     sb.stream,
-		GCClass:    sb.gcClass,
-		Valid:      sb.valid,
-		Invalid:    written - sb.valid,
-		DataPages:  f.dataPages,
-		CloseClock: sb.closeClock,
-	}
-}
-
-// SuperblockStateOf returns the lifecycle state of a superblock.
-func (f *FTL) SuperblockStateOf(id int) SuperblockState { return f.sbs[id].state }
-
 // CheckInvariants validates internal consistency: every mapped LPN points at
 // a valid page recording that LPN, per-superblock valid counts match the
 // device, and free/open/closed partitioning is coherent. Tests call it after

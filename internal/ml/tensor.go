@@ -34,9 +34,6 @@ func NewTensor(rows, cols int) *Tensor {
 	}
 }
 
-// At returns element (r, c).
-func (t *Tensor) At(r, c int) float64 { return t.Data[r*t.Cols+c] }
-
 // Set assigns element (r, c).
 func (t *Tensor) Set(r, c int, v float64) { t.Data[r*t.Cols+c] = v }
 

@@ -172,9 +172,6 @@ func (d *Device) Geometry() Geometry { return d.geo }
 // Latency returns the device's per-operation service times.
 func (d *Device) Latency() Latency { return d.lat }
 
-// SetLatency overrides the per-operation service times.
-func (d *Device) SetLatency(l Latency) { d.lat = l }
-
 // SetOpHook installs a callback invoked after every successful flash
 // operation. Timing models use it to charge die service time. For OpErase
 // the PPN is the first page of the erased block.
@@ -430,6 +427,3 @@ func (d *Device) MaxEraseCount() int {
 	}
 	return maxErase
 }
-
-// TotalEraseCount returns the sum of erase counts across all blocks.
-func (d *Device) TotalEraseCount() uint64 { return d.stats.Erases }

@@ -66,10 +66,6 @@ func TestTraceRecorderWraparound(t *testing.T) {
 	if got := r.CountByKind(KindGCEnd); got != n {
 		t.Errorf("CountByKind = %d, want %d", got, n)
 	}
-	r.Reset()
-	if r.Total() != 0 || len(r.Events()) != 0 || r.CountByKind(KindGCEnd) != 0 {
-		t.Error("Reset did not clear the recorder")
-	}
 }
 
 func TestTraceRecorderConcurrent(t *testing.T) {
@@ -98,66 +94,6 @@ func TestTraceRecorderConcurrent(t *testing.T) {
 	}
 	if len(r.Events()) != 64 {
 		t.Fatalf("Events len = %d, want full ring", len(r.Events()))
-	}
-}
-
-// A Reset racing Record must never leave the per-kind counts and Total
-// disagreeing about how many events the recorder has seen: both are updated
-// under the recorder lock. (The count bump used to happen before taking the
-// lock, so a Reset landing in between counted an event that then reached the
-// ring — Total > counts — or vice versa.)
-func TestTraceRecorderResetRaceConsistency(t *testing.T) {
-	r := NewTraceRecorder(32)
-	const writers, perW = 4, 5000
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				r.Record(Event{Kind: KindGCEnd, Clock: uint64(i)})
-			}
-		}()
-	}
-	stop := make(chan struct{})
-	var rg sync.WaitGroup
-	rg.Add(1)
-	go func() {
-		defer rg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				r.Reset()
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	rg.Wait()
-	total, byKind := r.Total(), r.CountByKind(KindGCEnd)
-	if total != byKind {
-		t.Fatalf("Total = %d but CountByKind = %d after concurrent Reset", total, byKind)
-	}
-	// Only one kind was recorded, so retention is bounded by that kind's
-	// ring (the uniform cap of 32), not the recorder-wide Capacity().
-	want := total
-	if want > 32 {
-		want = 32
-	}
-	if got := uint64(len(r.Events())); got != want {
-		t.Fatalf("Events len = %d, want %d (total %d)", got, want, total)
-	}
-}
-
-func TestNoOpRecorderZeroAlloc(t *testing.T) {
-	var r Recorder = NopRecorder{}
-	ev := Event{Kind: KindGCStart, Clock: 42, SB: 7, A: 100, F0: 0.5}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		r.Record(ev)
-	}); allocs != 0 {
-		t.Errorf("NopRecorder.Record allocates %v times per call", allocs)
 	}
 }
 

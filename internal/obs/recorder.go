@@ -12,14 +12,6 @@ type Recorder interface {
 	Record(ev Event)
 }
 
-// NopRecorder discards every event. It exists for call sites that want an
-// always-non-nil Recorder; the instrumented packages instead keep a nil
-// Recorder and skip the call entirely, which is cheaper still.
-type NopRecorder struct{}
-
-// Record implements Recorder. It does nothing and never allocates.
-func (NopRecorder) Record(Event) {}
-
 // teeRecorder fans one event out to two recorders.
 type teeRecorder struct{ a, b Recorder }
 
@@ -152,12 +144,6 @@ func (r *kindRing) dropped() uint64 {
 	return 0
 }
 
-func (r *kindRing) reset() {
-	r.buf = r.buf[:0]
-	r.stored = 0
-	r.sampledOut = 0
-}
-
 // TraceRecorder is a bounded in-memory event store with one ring per event
 // kind: rare kinds (GC, erase, superblock lifecycle, threshold, retrain,
 // stall) are retained losslessly, hot kinds (meta-cache traffic) are
@@ -215,9 +201,9 @@ func (r *TraceRecorder) SampleEveryOf(k Kind) uint64 {
 }
 
 // Record implements Recorder. The per-kind count is bumped under the same
-// lock as the slot reservation: bumping it outside would let a concurrent
-// Reset land between the two and leave counts/Total disagreeing about how
-// many events this recorder has seen.
+// lock as the slot reservation, so concurrent Records of one kind number
+// their events (which decides what sampling retains) in the same order as
+// their record sequence.
 func (r *TraceRecorder) Record(ev Event) {
 	k := int(ev.Kind)
 	if k >= numKinds {
@@ -284,17 +270,4 @@ func (r *TraceRecorder) Events() []Event {
 		out[i] = s.ev
 	}
 	return out
-}
-
-// Reset discards all retained events and totals. Ring policies survive.
-func (r *TraceRecorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next.Store(0)
-	for i := range r.counts {
-		r.counts[i].Store(0)
-	}
-	for k := range r.rings {
-		r.rings[k].reset()
-	}
 }

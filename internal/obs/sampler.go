@@ -67,9 +67,6 @@ func NewSampler(every uint64, snap SnapshotFunc) *Sampler {
 	return &Sampler{every: every, next: every, snap: snap}
 }
 
-// Every returns the sampling interval in virtual-clock ticks.
-func (s *Sampler) Every() uint64 { return s.every }
-
 // Tick takes a sample if the clock has reached the next sampling instant.
 // Clock jumps larger than the interval produce a single sample (the series
 // records state, not per-interval deltas, so repeating a snapshot at one
