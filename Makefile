@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check
+.PHONY: check vet build test race allocs loc fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check
 
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
-check: vet build race fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check bench-quick
+check: vet build race allocs fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check bench-quick
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +16,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## allocs: the allocation pins. testing.AllocsPerRun counts the race
+## detector's own allocations, so these tests skip under -race and `race`
+## never runs them; this target runs them without it.
+allocs:
+	$(GO) test -count=1 -run 'ZeroAlloc|BytesCeiling' ./internal/core ./internal/ml ./internal/obs/registry ./internal/par
+
+## loc: the size measure ROADMAP tracks — non-test Go lines outside bench/.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 ## smoke: short parallel wabench sweep under -race — catches regressions in
 ## the runner's telemetry-sink serialization that unit tests can miss.
