@@ -94,9 +94,12 @@ csv-smoke:
 ## Golden-curve regression harness: checked-in per-cell sample CSVs
 ## (the wabench -telemetry-csv format) for GOLDEN_TRACES × {Base,PHFTL} at
 ## GOLDEN_DW drive writes. `golden-check` replays the same cells and diffs
-## the interval-WA/cum-WA/threshold/cache-hit curves point-by-point
-## (cmd/wadiff), so a GC or separator change that trades early-run WA for
-## late-run WA fails CI even when the end-of-run scalar looks fine.
+## the whole directory byte for byte — every column of every curve
+## (interval/cum WA, threshold, cache hit, wear skew/CoV, ...) and the file
+## set — so a GC or separator change that trades early-run WA for late-run
+## WA fails CI even when the end-of-run scalar looks fine. The replay runs
+## at GOMAXPROCS=1 while the baselines were recorded at the default, so the
+## gate also pins serial == pooled retraining on all eight cells.
 ## Regenerate with `make golden` ONLY after an intentional behavioural
 ## change, and commit the new baselines with the change that caused them.
 ## #52T is the trim-enabled twin of #52: its baseline pins the TRIM path
@@ -112,9 +115,12 @@ golden:
 
 golden-check:
 	rm -rf $(GOLDEN_TMP)
-	$(GO) run ./cmd/wabench -dw $(GOLDEN_DW) -traces "$(GOLDEN_TRACES)" \
-		-schemes "Base,PHFTL" -telemetry-csv $(GOLDEN_TMP)
-	$(GO) run ./cmd/wadiff -q $(GOLDEN_DIR) $(GOLDEN_TMP)
+	GOMAXPROCS=1 $(GO) run ./cmd/wabench -dw $(GOLDEN_DW) -traces "$(GOLDEN_TRACES)" \
+		-schemes "Base,PHFTL" -telemetry-csv $(GOLDEN_TMP) > /dev/null
+	@diff -r $(GOLDEN_DIR) $(GOLDEN_TMP) || { \
+		echo "golden-check: replay differs from $(GOLDEN_DIR); run 'make golden' only for an intentional behaviour change"; \
+		exit 1; }
+	@echo "golden-check: $(GOLDEN_DIR) reproduced byte for byte"
 
 # gofmt -l prints offending files; grep inverts that into an exit status.
 fmt:

@@ -3,22 +3,22 @@
 // every trace, plus the paper's two classifier ablations — truncating the
 // feature sequence to length 1 (§V-C: accuracy drops by up to 9.2%, 4.0% on
 // average) and deploying unquantized float weights (§IV: int8 quantization
-// costs <1% accuracy).
+// costs <1% accuracy). Each ablation changes one option of the -model
+// baseline it is printed next to.
 //
 // Usage:
 //
-//	clfbench [-dw 8] [-traces "#52,#326"] [-seqlen1] [-noquant]
+//	clfbench [-dw 8] [-traces "#52,#326"] [-model gru] [-seqlen1] [-noquant]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/phftl/phftl/internal/core"
+	"github.com/phftl/phftl/internal/runner"
 	"github.com/phftl/phftl/internal/sim"
-	"github.com/phftl/phftl/internal/workload"
 )
 
 func main() {
@@ -29,18 +29,15 @@ func main() {
 	model := flag.String("model", "gru", "classifier architecture: gru, lstm or mlp (design-space ablation)")
 	flag.Parse()
 
-	profiles := workload.Profiles()
-	if *tracesFlag != "" {
-		var sel []workload.Profile
-		for _, id := range strings.Split(*tracesFlag, ",") {
-			p, ok := workload.ProfileByID(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown trace %q\n", id)
-				os.Exit(1)
-			}
-			sel = append(sel, p)
-		}
-		profiles = sel
+	profiles, err := runner.ParseTraces(*tracesFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	baseOpts := core.DefaultOptions()
+	baseOpts.Model = *model
+	if *model == "lstm" {
+		baseOpts.Hidden = 16 // h and c must share the 32-byte state slot
 	}
 
 	fmt.Printf("Table I: Page Classifier performance, %d drive writes per trace\n", *driveWrites)
@@ -55,11 +52,6 @@ func main() {
 
 	var sumAcc, sumPrec, sumRec, sumF1, sumAcc1, sumAccF float64
 	for _, p := range profiles {
-		baseOpts := core.DefaultOptions()
-		baseOpts.Model = *model
-		if *model == "lstm" {
-			baseOpts.Hidden = 16 // h and c must share the 32-byte state slot
-		}
 		res, err := sim.RunProfile(p, sim.SchemePHFTL, *driveWrites, &baseOpts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -73,7 +65,7 @@ func main() {
 		sumRec += c.Recall()
 		sumF1 += c.F1()
 		if *seqlen1 {
-			opts := core.DefaultOptions()
+			opts := baseOpts
 			opts.SeqLen = 1
 			r1, err := sim.RunProfile(p, sim.SchemePHFTL, *driveWrites, &opts)
 			if err != nil {
@@ -85,7 +77,7 @@ func main() {
 			fmt.Printf("      %6.3f %+.3f", a1, a1-c.Accuracy())
 		}
 		if *noquant {
-			opts := core.DefaultOptions()
+			opts := baseOpts
 			opts.Quantize = false
 			rf, err := sim.RunProfile(p, sim.SchemePHFTL, *driveWrites, &opts)
 			if err != nil {

@@ -165,8 +165,8 @@ func main() {
 	}
 	if *report {
 		fmt.Printf("\n%s", obs.BuildReport(o.Rec, out.Samples))
-		if o.Wear != nil && o.Wear.Total() > 0 {
-			fmt.Printf("\n%s", o.Wear.Heatmap(48))
+		if dev := in.FTL.Device(); dev.Stats().Erases > 0 {
+			fmt.Printf("\n%s", runner.WearHeatmap(dev, 48))
 		}
 	}
 }

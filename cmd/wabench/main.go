@@ -12,7 +12,7 @@
 //
 //	wabench [-dw 20] [-traces "#52,#144"] [-schemes "Base,PHFTL"] [-parallel 8] [-csv out.csv]
 //	wabench -traces "#52" -telemetry out.jsonl -cpuprofile cpu.pb.gz
-//	wabench -dw 2 -traces "#52,#144" -schemes "Base,PHFTL" -telemetry-csv testdata/golden
+//	wabench -dw 2 -traces "#52,#144" -schemes "Base,PHFTL" -telemetry-csv curves
 //	wabench -dw 4 -traces "#52" -op-sweep "0.07,0.15,0.28"
 package main
 
@@ -36,7 +36,7 @@ func main() {
 	schemesFlag := flag.String("schemes", "", "comma-separated schemes (default: Base,2R,SepBIT,PHFTL)")
 	parallel := flag.Int("parallel", 0, "trace×scheme cells to run concurrently (0 = GOMAXPROCS); each PHFTL cell also retrains on up to min(4, GOMAXPROCS) goroutines at its window ends (GOMAXPROCS=1 is fully serial; output is byte-identical either way)")
 	csvPath := flag.String("csv", "", "also write results as CSV to this file")
-	telemetryCSV := flag.String("telemetry-csv", "", "write each cell's sample time series as <trace>_<scheme>.csv into this directory (created if missing); the golden-curve harness consumes this format")
+	telemetryCSV := flag.String("telemetry-csv", "", "write each cell's sample time series as <trace>_<scheme>.csv into this directory (created if missing); make golden-check diffs this format byte for byte against testdata/golden")
 	opSweep := flag.String("op-sweep", "", "comma-separated overprovisioning ratios (e.g. \"0.07,0.15,0.28\"): replay each trace×scheme cell once per ratio and report WA vs OP instead of the Figure 5 table")
 	var tf runner.TelemetryFlags
 	tf.Register(flag.CommandLine, "write per-run trace events and samples as JSONL to this file (lines tagged trace/scheme)")

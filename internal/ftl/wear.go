@@ -23,8 +23,7 @@ type WearReport struct {
 	// PerDie is each die's total erase count, indexed by die. Superblock
 	// erases touch every die once, so the entries are equal unless block
 	// erases bypassed superblock addressing; the sum always equals
-	// TotalErases, which cross-checks the incremental accounting in
-	// internal/wear against this device scan.
+	// TotalErases.
 	PerDie []uint64
 }
 
@@ -74,9 +73,9 @@ func (f *FTL) Wear() WearReport {
 // before any block reaches enduranceCycles erases, extrapolating linearly
 // from the observed wear distribution. Returns 0 before any erase happened.
 func (f *FTL) LifetimeWrites(enduranceCycles int) uint64 {
-	rep := f.Wear()
-	if rep.MaxErases == 0 || f.stats.UserPageWrites == 0 {
+	maxErases := f.dev.MaxEraseCount()
+	if maxErases == 0 || f.stats.UserPageWrites == 0 {
 		return 0
 	}
-	return f.stats.UserPageWrites * uint64(enduranceCycles) / uint64(rep.MaxErases)
+	return f.stats.UserPageWrites * uint64(enduranceCycles) / uint64(maxErases)
 }

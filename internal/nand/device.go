@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -131,7 +132,11 @@ type Device struct {
 
 	// Wear-observability state.
 	dieErase []uint64 // erase cycles per die (sums to stats.Erases)
-	onErase  func(die, blk, count int)
+	maxErase int      // highest per-block erase count
+	// eraseSq is the sum of squared per-block erase counts, kept in erase
+	// order (taking a count c to c+1 adds 2c+1) so WearCoV is O(1).
+	eraseSq float64
+	onErase func(die, blk, count int)
 }
 
 // NewDevice builds a device with the given geometry. All pages start free.
@@ -179,9 +184,9 @@ func (d *Device) SetOpHook(fn func(kind OpKind, p PPN)) { d.onOp = fn }
 
 // SetEraseHook installs a callback invoked after every successful block
 // erase with the block's physical coordinates and its new cumulative erase
-// count. It is independent of the op hook so wear accounting (internal/wear)
-// composes with a timing model holding the op hook. A nil hook (the
-// default) costs the erase path one predictable branch.
+// count. It is independent of the op hook so erase telemetry composes with
+// a timing model holding the op hook. A nil hook (the default) costs the
+// erase path one predictable branch.
 func (d *Device) SetEraseHook(fn func(die, blk, count int)) { d.onErase = fn }
 
 // Stats returns a copy of the accumulated operation counts.
@@ -332,7 +337,9 @@ func (d *Device) EraseBlock(die, blk int) error {
 		pr.data = pr.data[:0]
 	}
 	b.writePtr = 0
+	d.eraseSq += float64(2*b.eraseCnt + 1)
 	b.eraseCnt++
+	d.maxErase = max(d.maxErase, b.eraseCnt)
 	d.dieErase[die]++
 	d.stats.Erases++
 	if d.onOp != nil {
@@ -418,12 +425,28 @@ func (d *Device) DieEraseCount(die int) (uint64, error) {
 
 // MaxEraseCount returns the highest erase count across all blocks, a proxy
 // for device wear.
-func (d *Device) MaxEraseCount() int {
-	maxErase := 0
-	for i := range d.blocks {
-		if c := d.blocks[i].eraseCnt; c > maxErase {
-			maxErase = c
-		}
+func (d *Device) MaxEraseCount() int { return d.maxErase }
+
+// WearSkew returns the max/mean ratio of the per-block erase distribution
+// (1 = perfectly even wear). NaN before the first erase, the sinks'
+// "gauge not applicable" convention.
+func (d *Device) WearSkew() float64 {
+	if d.stats.Erases == 0 {
+		return math.NaN()
 	}
-	return maxErase
+	mean := float64(d.stats.Erases) / float64(len(d.blocks))
+	return float64(d.maxErase) / mean
+}
+
+// WearCoV returns the coefficient of variation (stddev/mean) of the
+// per-block erase distribution; 0 = perfectly even. NaN before the first
+// erase.
+func (d *Device) WearCoV() float64 {
+	if d.stats.Erases == 0 {
+		return math.NaN()
+	}
+	n := float64(len(d.blocks))
+	mean := float64(d.stats.Erases) / n
+	variance := max(d.eraseSq/n-mean*mean, 0) // cancellation on even wear
+	return math.Sqrt(variance) / mean
 }

@@ -172,9 +172,9 @@ func TestWriteSamplesCSV(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want header + 1 row", len(lines))
 	}
-	// wear_skew and wear_cov sit strictly at the end of the row: every
-	// pre-existing column keeps its historical position so golden baselines
-	// written before their introduction still align.
+	// The full column order is pinned: the golden baselines under
+	// testdata/golden are compared byte for byte, so a moved, renamed or
+	// inserted column must fail here before it fails golden-check.
 	if lines[0] != "clock,interval_wa,cum_wa,free_sb,threshold,cache_hit,queue_depth,lat_p50_ms,lat_p99_ms,open_fill_mean,wear_skew,wear_cov" {
 		t.Errorf("header = %q", lines[0])
 	}

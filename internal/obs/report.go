@@ -27,7 +27,7 @@ type Report struct {
 	WriteStalls uint64
 	// Erases counts block-erase events (one per die per collected
 	// superblock); wear-skew trajectories live in the sample series and the
-	// per-die heatmap in internal/wear.
+	// per-die heatmap in runner.WearHeatmap.
 	Erases      uint64
 	CacheHits   uint64
 	CacheMisses uint64

@@ -32,14 +32,11 @@ type Sample struct {
 	// and the CSV sink leaves them empty.
 	LatencyP50MS float64
 	LatencyP99MS float64
-	// WearSkew and WearCoV are wear-evenness gauges over the per-block
-	// erase-count distribution maintained by internal/wear: WearSkew is the
+	// WearSkew and WearCoV are wear-evenness gauges over the device's
+	// per-block erase counts (nand.Device.WearSkew/WearCoV): WearSkew is the
 	// max/mean ratio (1.0 = perfectly even) and WearCoV the coefficient of
-	// variation (stddev/mean). NaN marks runs without wear accounting or
-	// instants before the first erase; the JSONL sink omits the fields and
-	// the CSV sink leaves them empty. In the CSV both columns sit at the
-	// end of the row, after every pre-existing column, so baselines written
-	// before their introduction still align (internal/golden ignores them).
+	// variation (stddev/mean). NaN marks instants before the first erase;
+	// the JSONL sink omits the fields and the CSV sink leaves them empty.
 	WearSkew float64
 	WearCoV  float64
 }

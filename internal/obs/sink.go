@@ -186,11 +186,8 @@ func WriteJSONL(w io.Writer, run string, events []Event, samples []Sample) error
 // Per-stream open fill is flattened to its mean to keep the column set
 // fixed; the JSONL stream retains the full vector. threshold is printed at
 // %.6f — PHFTL's hill-climbing steps can be smaller than 0.001, and the
-// golden-curve differ (internal/golden) must see them, so the CSV keeps
-// enough precision to resolve a single step. New columns (wear_skew,
-// wear_cov) are additive at the end of the row, keeping every pre-existing
-// column at its historical position so checked-in golden baselines stay
-// comparable without regeneration.
+// byte-compared golden baselines (make golden-check) must see them, so the
+// CSV keeps enough precision to resolve a single step.
 func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "clock,interval_wa,cum_wa,free_sb,threshold,cache_hit,queue_depth,lat_p50_ms,lat_p99_ms,open_fill_mean,wear_skew,wear_cov"); err != nil {

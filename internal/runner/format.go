@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/phftl/phftl/internal/ftl"
+	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/sim"
 )
 
@@ -28,11 +29,10 @@ func WriteCSVRow(w io.Writer, driveClass string, res sim.Result) error {
 	return err
 }
 
-// CellCSVName is the file name under which a cell's sample time series is
-// stored by wabench -telemetry-csv and looked up by the golden-curve
-// harness (cmd/wadiff, make golden-check): "<trace>_<scheme>.csv" with the
-// trace ID's '#' prefix stripped and any path-hostile characters replaced
-// by '_'.
+// CellCSVName is the file name under which wabench -telemetry-csv stores a
+// cell's sample time series, and so the name of each golden baseline under
+// testdata/golden: "<trace>_<scheme>.csv" with the trace ID's '#' prefix
+// stripped and any path-hostile characters replaced by '_'.
 func CellCSVName(c Cell) string {
 	return sanitizeFile(c.Trace) + "_" + sanitizeFile(string(c.Scheme)) + ".csv"
 }
@@ -81,6 +81,81 @@ func Summary(res sim.Result, wear ftl.WearReport, lifetime uint64) string {
 		ms := res.MetaStats
 		fmt.Fprintf(&b, "metadata cache         %.2f%% hit rate (%d hits, %d misses, %d open-buffer hits)\n",
 			ms.HitRate()*100, ms.CacheHits, ms.CacheMisses, ms.OpenHits)
+	}
+	return b.String()
+}
+
+// heatShades maps a bucket's relative wear (vs the hottest bucket) to a
+// display rune: space = untouched, then eight density steps.
+var heatShades = []rune{'▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'}
+
+// shade renders one heat cell for a mean erase count relative to the
+// hottest bucket mean.
+func shade(v, hottest float64) rune {
+	if v <= 0 {
+		return ' '
+	}
+	return heatShades[min(int(v/hottest*float64(len(heatShades))), len(heatShades)-1)]
+}
+
+// WearHeatmap renders the device's per-die wear picture as aligned text:
+// one row per die with its erase total, per-block min/mean/max, and a heat
+// strip of at most width cells (each cell aggregates a contiguous run of
+// blocks, shaded relative to the hottest cell across all dies). width is
+// clamped to [8, BlocksPerDie].
+func WearHeatmap(dev *nand.Device, width int) string {
+	geo := dev.Geometry()
+	dies, bpd := geo.Dies, geo.BlocksPerDie
+	width = min(max(width, 8), bpd)
+	// Every die and block index below is in range, so the device's
+	// EraseCount and DieEraseCount lookups cannot fail.
+	counts := make([]int, dies*bpd)
+	for die := 0; die < dies; die++ {
+		for blk := 0; blk < bpd; blk++ {
+			counts[die*bpd+blk], _ = dev.EraseCount(die, blk)
+		}
+	}
+	// Bucket every die first so shading is relative to the global maximum.
+	buckets := make([][]float64, dies)
+	globalMax := 0.0
+	for die := range buckets {
+		buckets[die] = make([]float64, width)
+		for cell := range buckets[die] {
+			lo := cell * bpd / width
+			hi := max((cell+1)*bpd/width, lo+1)
+			sum := 0.0
+			for _, c := range counts[die*bpd+lo : die*bpd+hi] {
+				sum += float64(c)
+			}
+			v := sum / float64(hi-lo)
+			buckets[die][cell] = v
+			globalMax = max(globalMax, v)
+		}
+	}
+	total := dev.Stats().Erases
+	var b strings.Builder
+	fmt.Fprintf(&b, "per-die wear heatmap (%d erases over %d dies x %d blocks", total, dies, bpd)
+	if total > 0 {
+		fmt.Fprintf(&b, "; skew %.3f, cov %.3f", dev.WearSkew(), dev.WearCoV())
+	}
+	b.WriteString(")\n")
+	for die := 0; die < dies; die++ {
+		row := counts[die*bpd : (die+1)*bpd]
+		minC, maxC := row[0], 0
+		for _, c := range row {
+			minC, maxC = min(minC, c), max(maxC, c)
+		}
+		dieTotal, _ := dev.DieEraseCount(die)
+		mean := float64(dieTotal) / float64(bpd)
+		fmt.Fprintf(&b, "  die %-2d %8d erases  blk min %d mean %.1f max %d  ", die, dieTotal, minC, mean, maxC)
+		if globalMax > 0 {
+			b.WriteString("|")
+			for _, v := range buckets[die] {
+				b.WriteRune(shade(v, globalMax))
+			}
+			b.WriteString("|")
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/obs"
 	"github.com/phftl/phftl/internal/sim"
 	"github.com/phftl/phftl/internal/workload"
@@ -325,5 +327,55 @@ func TestParseTracesTrimTwins(t *testing.T) {
 		t.Error("unknown trace accepted")
 	} else if !strings.Contains(err.Error(), "#52T") {
 		t.Errorf("error %v does not list trim twins", err)
+	}
+}
+
+// heatStrip returns the heat strip of one heatmap line: the runes between
+// its two pipes.
+func heatStrip(t *testing.T, line string) []rune {
+	t.Helper()
+	first, last := strings.IndexByte(line, '|'), strings.LastIndexByte(line, '|')
+	if first < 0 || last <= first {
+		t.Fatalf("line has no heat strip: %q", line)
+	}
+	return []rune(line[first+1 : last])
+}
+
+func TestHeatmapTotalsAndShape(t *testing.T) {
+	dev := nand.MustNewDevice(nand.Geometry{PageSize: 512, OOBSize: 16, PagesPerBlock: 4, BlocksPerDie: 32, Dies: 3})
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 300; i++ {
+		if err := dev.EraseBlock(rng.Intn(3), rng.Intn(32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := WearHeatmap(dev, 16)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 1+3 {
+		t.Fatalf("heatmap has %d lines, want header + 3 die rows:\n%s", len(lines), out)
+	}
+	if !strings.Contains(lines[0], "300 erases over 3 dies x 32 blocks") {
+		t.Fatalf("header missing totals: %q", lines[0])
+	}
+	for die := 0; die < 3; die++ {
+		total, _ := dev.DieEraseCount(die)
+		row := lines[1+die]
+		if !strings.Contains(row, fmt.Sprintf(" %d erases", total)) {
+			t.Fatalf("die row %d does not carry its total %d: %q", die, total, row)
+		}
+		if cells := len(heatStrip(t, row)); cells != 16 {
+			t.Fatalf("die row %d strip has %d cells, want 16: %q", die, cells, row)
+		}
+	}
+}
+
+func TestHeatmapClampsWidth(t *testing.T) {
+	dev := nand.MustNewDevice(nand.Geometry{PageSize: 512, OOBSize: 16, PagesPerBlock: 4, BlocksPerDie: 4, Dies: 1})
+	if err := dev.EraseBlock(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	out := WearHeatmap(dev, 64) // wider than BlocksPerDie → clamps to 4 cells
+	if cells := len(heatStrip(t, out)); cells != 4 {
+		t.Fatalf("strip has %d cells, want 4:\n%s", cells, out)
 	}
 }

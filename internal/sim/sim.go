@@ -20,7 +20,6 @@ import (
 	"github.com/phftl/phftl/internal/sepbit"
 	"github.com/phftl/phftl/internal/trace"
 	"github.com/phftl/phftl/internal/tworegion"
-	"github.com/phftl/phftl/internal/wear"
 	"github.com/phftl/phftl/internal/workload"
 )
 
@@ -100,11 +99,6 @@ type Observation struct {
 	Rec     *obs.TraceRecorder
 	Sampler *obs.Sampler
 
-	// Wear accounts erases by physical coordinate (fed by the device's
-	// erase hook); it backs the sampled wear-skew/CoV gauges and the
-	// end-of-run per-die heatmap. Nil when the instance has no device.
-	Wear *wear.Accountant
-
 	// QueueDepth, when non-nil, supplies the timing model's busy-die count
 	// to samples (set by perfsim.Machine.Observe).
 	QueueDepth func() float64
@@ -131,8 +125,9 @@ type ObserveConfig struct {
 
 // Observe instruments an instance: the FTL, the PHFTL scheme and its
 // metadata store all emit into one trace recorder, and a sampler snapshots
-// interval WA, free superblocks, per-stream open-superblock fill, threshold
-// and cache hit ratio on the virtual clock. Call before Replay/RunOn.
+// interval WA, free superblocks, per-stream open-superblock fill, threshold,
+// cache hit ratio and the device's wear skew/CoV on the virtual clock. Call
+// before Replay/RunOn.
 func Observe(in *Instance, cfg ObserveConfig) *Observation {
 	every := cfg.SampleEvery
 	if every == 0 {
@@ -149,22 +144,17 @@ func Observe(in *Instance, cfg ObserveConfig) *Observation {
 	if cfg.Cell != nil {
 		rec = obs.Tee(o.Rec, cfg.Cell)
 	}
-	if dev := in.FTL.Device(); dev != nil {
-		geo := dev.Geometry()
-		o.Wear = wear.New(geo.Dies, geo.BlocksPerDie)
-		rec, wa := rec, o.Wear
-		dev.SetEraseHook(func(die, blk, count int) {
-			wa.OnErase(die, blk)
-			rec.Record(obs.Event{
-				Kind:  obs.KindErase,
-				Clock: in.FTL.Clock(),
-				SB:    int32(blk),
-				A:     int64(die),
-				B:     int64(blk),
-				C:     int64(count),
-			})
+	dev := in.FTL.Device()
+	dev.SetEraseHook(func(die, blk, count int) {
+		rec.Record(obs.Event{
+			Kind:  obs.KindErase,
+			Clock: in.FTL.Clock(),
+			SB:    int32(blk),
+			A:     int64(die),
+			B:     int64(blk),
+			C:     int64(count),
 		})
-	}
+	})
 	var prevUser, prevFlash uint64
 	var fillBuf []float64
 	o.Sampler = obs.NewSampler(every, func(clock uint64) obs.Sample {
@@ -183,13 +173,9 @@ func Observe(in *Instance, cfg ObserveConfig) *Observation {
 			// latency fields out of the sinks (same convention as above).
 			LatencyP50MS: math.NaN(),
 			LatencyP99MS: math.NaN(),
-			// NaN until the first erase (and always without wear accounting).
-			WearSkew: math.NaN(),
-			WearCoV:  math.NaN(),
-		}
-		if o.Wear != nil {
-			s.WearSkew = o.Wear.Skew()
-			s.WearCoV = o.Wear.CoV()
+			// NaN until the first erase.
+			WearSkew: dev.WearSkew(),
+			WearCoV:  dev.WearCoV(),
 		}
 		prevUser, prevFlash = st.UserPageWrites, st.FlashPageWrites()
 		if in.PHFTL != nil {
