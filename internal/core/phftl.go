@@ -92,15 +92,40 @@ type Stats struct {
 	LastTrainLoss   float64
 }
 
+// example is one reservoir slot of the window's training set. Its history
+// rows live packed in PHFTL.exRows, oldest first, at the slot's offset.
 type example struct {
-	seq      [][]float64
+	rows     int // history rows held (1..SeqLen)
 	lifetime float64
 	censored bool
 }
 
-type featureRing struct {
-	buf []float64 // seqLen * InputDim, circular
-	n   int       // total vectors ever appended
+// rowBytes is the packed size of one feature vector: every feature is a
+// hexadecimal digit or a bit (§III-B), stored as a 4-bit digit, two a byte.
+const rowBytes = (InputDim + 1) / 2
+
+// digitValue decodes a packed digit to the value the model reads: d/15, the
+// float64 ml.HexDigits computes (ml.Bit's 1 is 15/15 == 1 exactly).
+var digitValue = func() (t [16]float64) {
+	for d := range t {
+		t[d] = float64(d) / 15.0
+	}
+	return t
+}()
+
+// packRow packs a feature vector of digit values (d/15 each) into row.
+func packRow(row []byte, x []float64) {
+	clear(row)
+	for i, v := range x {
+		row[i/2] |= uint8(v*15+0.5) << (4 * (i & 1))
+	}
+}
+
+// unpackRow decodes a packed row into x, whose length is the feature width.
+func unpackRow(x []float64, row []byte) {
+	for i := range x {
+		x[i] = digitValue[row[i/2]>>(4*(i&1))&0xF]
+	}
 }
 
 const (
@@ -124,7 +149,13 @@ type PHFTL struct {
 	deployed ml.SequenceModel // device-side model (quantized when opts.Quantize)
 	opt      *ml.Adam
 
-	rings    []featureRing
+	// hist holds every LPN's last SeqLen feature vectors as packed rows in
+	// one flat arena (SeqLen*rowBytes bytes per LPN, circular). histN counts
+	// the rows appended since the page's last trim; once the ring is full it
+	// stays in [SeqLen, 2*SeqLen), so the write slot is histN % SeqLen and
+	// the counter never wraps.
+	hist     []byte
+	histN    []uint32
 	hostLast []uint32 // host-side last-write clock per LPN, 1-based; 0 = never
 
 	pendingEntry Entry
@@ -137,21 +168,23 @@ type PHFTL struct {
 	examples     []example
 	examplesSeen int
 
+	// exRows is the reservoir's packed history, SeqLen*rowBytes bytes per
+	// example slot. A history is copied in only when the reservoir keeps its
+	// example, and decoded once at window end into exSeqs: SeqLen rows per
+	// slot, each an InputDim view of one flat float arena. Both keep their
+	// storage across windows.
+	exRows []byte
+	exSeqs [][]float64
+
 	// Window membership as an epoch-marked array instead of a map: LPN lpn
 	// was written in the current window iff windowSeen[lpn] == windowEpoch.
 	// windowLPNs lists them in insertion order (sorted at window end). Both
 	// reuse their storage across windows, keeping the per-write bookkeeping
-	// allocation-free.
-	windowSeen  []uint64
-	windowEpoch uint64
+	// allocation-free. The epoch skips 0 (the never-written mark) and clears
+	// the array when it wraps, so no stale mark can match.
+	windowSeen  []uint32
+	windowEpoch uint32
 	windowLPNs  []uint32
-
-	// seqPool recycles the [][]float64 training-sequence snapshots (one
-	// SeqLen×InputDim buffer each) between examples, so window retraining
-	// stops churning the GC. Sequences are returned to the pool when their
-	// example is dropped by the reservoir and at the end of each window,
-	// strictly after training and threshold probing are done with them.
-	seqPool [][][]float64
 
 	threshold   float64
 	trainedOnce bool
@@ -246,11 +279,12 @@ func New(geo nand.Geometry, exportedPages int, opts Options) (*PHFTL, error) {
 		adj:         NewThresholdAdjuster(opts.Seed),
 		model:       model,
 		opt:         ml.NewAdam(opts.Train.LR),
-		rings:       make([]featureRing, exportedPages),
+		hist:        make([]byte, exportedPages*opts.SeqLen*rowBytes),
+		histN:       make([]uint32, exportedPages),
 		hostLast:    make([]uint32, exportedPages),
 		windowSize:  windowSize,
 		windowStart: 1,
-		windowSeen:  make([]uint64, exportedPages),
+		windowSeen:  make([]uint32, exportedPages),
 		windowEpoch: 1,
 		pred:        make([]uint8, exportedPages),
 		predThresh:  make([]float64, exportedPages),
@@ -362,63 +396,36 @@ func (p *PHFTL) StreamGCClass(stream int) int {
 	return 0
 }
 
-func (r *featureRing) append(x []float64, seqLen int) {
-	dim := len(x)
-	if r.buf == nil {
-		r.buf = make([]float64, seqLen*dim)
-	}
-	slot := r.n % seqLen
-	copy(r.buf[slot*dim:(slot+1)*dim], x)
-	r.n++
+// histRing returns lpn's packed history ring.
+func (p *PHFTL) histRing(lpn uint32) []byte {
+	stride := p.opts.SeqLen * rowBytes
+	return p.hist[int(lpn)*stride : (int(lpn)+1)*stride]
 }
 
-// snapshotInto copies the ring's vectors oldest-first into dst, whose header
-// must hold seqLen rows of dim values each, and returns dst truncated to the
-// copied count. The caller owns dst (see PHFTL.getSeq/putSeq).
-func (r *featureRing) snapshotInto(dst [][]float64, seqLen, dim int) [][]float64 {
-	count := r.n
-	if count > seqLen {
-		count = seqLen
+// appendHist records x as lpn's newest history row.
+func (p *PHFTL) appendHist(lpn uint32, x []float64) {
+	seqLen := uint32(p.opts.SeqLen)
+	n := p.histN[lpn]
+	slot := int(n % seqLen)
+	packRow(p.histRing(lpn)[slot*rowBytes:(slot+1)*rowBytes], x)
+	if n++; n == 2*seqLen {
+		n = seqLen
 	}
-	for i := 0; i < count; i++ {
-		idx := (r.n - count + i) % seqLen
-		copy(dst[i], r.buf[idx*dim:(idx+1)*dim])
-	}
-	return dst[:count]
+	p.histN[lpn] = n
 }
 
-// snapshotSeq returns a pooled copy of an LPN's feature history (nil when the
-// page has none). Ownership passes to the example it lands in; putSeq returns
-// it to the pool once the window is done with it.
-func (p *PHFTL) snapshotSeq(lpn uint32) [][]float64 {
-	r := &p.rings[lpn]
-	if r.n == 0 {
-		return nil
+// copyHist copies lpn's history rows oldest first into dst, which holds
+// SeqLen rows, and returns the row count.
+func (p *PHFTL) copyHist(dst []byte, lpn uint32) int {
+	seqLen, n := p.opts.SeqLen, int(p.histN[lpn])
+	ring := p.histRing(lpn)
+	if n < seqLen {
+		copy(dst, ring[:n*rowBytes])
+		return n
 	}
-	return r.snapshotInto(p.getSeq(), p.opts.SeqLen, InputDim)
-}
-
-func (p *PHFTL) getSeq() [][]float64 {
-	if n := len(p.seqPool); n > 0 {
-		s := p.seqPool[n-1]
-		p.seqPool[n-1] = nil
-		p.seqPool = p.seqPool[:n-1]
-		return s
-	}
-	seqLen := p.opts.SeqLen
-	flat := make([]float64, seqLen*InputDim)
-	s := make([][]float64, seqLen)
-	for i := range s {
-		s[i] = flat[i*InputDim : (i+1)*InputDim]
-	}
-	return s
-}
-
-func (p *PHFTL) putSeq(s [][]float64) {
-	if cap(s) != p.opts.SeqLen {
-		return
-	}
-	p.seqPool = append(p.seqPool, s[:p.opts.SeqLen])
+	oldest := (n % seqLen) * rowBytes
+	copy(dst[copy(dst, ring[oldest:]):], ring[:oldest])
+	return seqLen
 }
 
 // PlaceUserWrite implements ftl.Separator: this is PHFTL's per-write path —
@@ -477,7 +484,7 @@ func (p *PHFTL) PlaceUserWrite(w ftl.UserWrite, clock uint64) (int, []byte) {
 	p.oobBuf = EncodeEntry(p.oobBuf, newEntry)
 
 	// Host bookkeeping after feature extraction (features describe history).
-	p.rings[lpn].append(x, p.opts.SeqLen)
+	p.appendHist(lpn, x)
 	p.hostLast[lpn] = uint32(now)
 	if p.windowSeen[lpn] != p.windowEpoch {
 		p.windowSeen[lpn] = p.windowEpoch
@@ -516,10 +523,7 @@ func (p *PHFTL) resolveLifetime(lpn uint32, now uint64) {
 	if hl >= p.windowStart {
 		p.lifetimes = append(p.lifetimes, life)
 	}
-	p.addExample(example{
-		seq:      p.snapshotSeq(lpn),
-		lifetime: life,
-	})
+	p.addExample(lpn, life, false)
 }
 
 // PlaceGCWrite implements ftl.Separator: GC survivors are separated by GC
@@ -559,7 +563,7 @@ func (p *PHFTL) OnTrim(lpn nand.LPN, oldPPN nand.PPN, clock uint64) {
 	l := uint32(lpn)
 	p.resolveLifetime(l, clock+1)
 	p.hostLast[l] = 0
-	p.rings[l].n = 0
+	p.histN[l] = 0
 	p.meta.Invalidate(oldPPN)
 }
 
@@ -572,22 +576,51 @@ func (p *PHFTL) MetaPages(sb int) [][]byte { return p.meta.Seal(sb) }
 // OnSuperblockErased implements ftl.Separator.
 func (p *PHFTL) OnSuperblockErased(sb int) { p.meta.DropSB(sb) }
 
-func (p *PHFTL) addExample(ex example) {
-	if len(ex.seq) == 0 {
+// addExample offers lpn's current history, labelled with lifetime, to the
+// window's reservoir; a page without history offers nothing.
+func (p *PHFTL) addExample(lpn uint32, lifetime float64, censored bool) {
+	if p.histN[lpn] == 0 {
 		return
 	}
 	p.examplesSeen++
-	if p.opts.MaxExamples <= 0 || len(p.examples) < p.opts.MaxExamples {
-		p.examples = append(p.examples, ex)
+	slot := len(p.examples)
+	if p.opts.MaxExamples <= 0 || slot < p.opts.MaxExamples {
+		p.examples = append(p.examples, example{})
+	} else if slot = p.rng.Intn(p.examplesSeen); slot >= len(p.examples) {
+		// Reservoir sampling keeps a uniform subset of the window's examples.
 		return
 	}
-	// Reservoir sampling keeps a uniform subset of the window's examples.
-	if j := p.rng.Intn(p.examplesSeen); j < len(p.examples) {
-		p.putSeq(p.examples[j].seq)
-		p.examples[j] = ex
-	} else {
-		p.putSeq(ex.seq)
+	stride := p.opts.SeqLen * rowBytes
+	if end := (slot + 1) * stride; len(p.exRows) < end {
+		p.exRows = append(p.exRows, make([]byte, end-len(p.exRows))...)
 	}
+	rows := p.copyHist(p.exRows[slot*stride:(slot+1)*stride], lpn)
+	p.examples[slot] = example{rows: rows, lifetime: lifetime, censored: censored}
+}
+
+// decodeExamples expands every kept example's packed rows into exSeqs.
+func (p *PHFTL) decodeExamples() {
+	seqLen := p.opts.SeqLen
+	if need := cap(p.examples) * seqLen; len(p.exSeqs) < need {
+		flat := make([]float64, need*InputDim)
+		p.exSeqs = make([][]float64, need)
+		for i := range p.exSeqs {
+			p.exSeqs[i] = flat[i*InputDim : (i+1)*InputDim : (i+1)*InputDim]
+		}
+	}
+	for i := range p.examples {
+		for r := i * seqLen; r < i*seqLen+p.examples[i].rows; r++ {
+			unpackRow(p.exSeqs[r], p.exRows[r*rowBytes:(r+1)*rowBytes])
+		}
+	}
+}
+
+// exampleSeq is example i's decoded history, oldest first (valid after
+// decodeExamples until the next window's).
+func (p *PHFTL) exampleSeq(i int) [][]float64 {
+	lo := i * p.opts.SeqLen
+	hi := lo + p.examples[i].rows
+	return p.exSeqs[lo:hi:hi]
 }
 
 // endWindow runs the Model Trainer: adaptive labeling (Algorithm 1), one
@@ -609,12 +642,9 @@ func (p *PHFTL) endWindow(now uint64) {
 		if elapsed <= 0 {
 			continue
 		}
-		p.addExample(example{
-			seq:      p.snapshotSeq(lpn),
-			lifetime: elapsed,
-			censored: true,
-		})
+		p.addExample(lpn, elapsed, true)
 	}
+	p.decodeExamples()
 
 	// Threshold probes rank candidates on *resolved* lifetime samples only:
 	// censored pages (mostly long-living bulk data) would flood the
@@ -627,8 +657,9 @@ func (p *PHFTL) endWindow(now uint64) {
 		if ex.censored {
 			continue
 		}
+		seq := p.exampleSeq(i)
 		probes = append(probes, probeSample{
-			feat:     ex.seq[len(ex.seq)-1],
+			feat:     seq[len(seq)-1],
 			lifetime: ex.lifetime,
 		})
 	}
@@ -662,7 +693,7 @@ func (p *PHFTL) endWindow(now uint64) {
 			if ex.lifetime < p.threshold {
 				label = 1
 			}
-			labeled = append(labeled, ml.Sample{Seq: ex.seq, Label: label})
+			labeled = append(labeled, ml.Sample{Seq: p.exampleSeq(i), Label: label})
 		}
 		p.sampleBuf = labeled
 		samples := p.resample.Resample(labeled, 0, p.opts.Seed+int64(p.stats.Windows))
@@ -701,16 +732,13 @@ func (p *PHFTL) endWindow(now uint64) {
 	p.windowStart = now + 1
 	p.windowWrites = 0
 	p.lifetimes = p.lifetimes[:0]
-	// Training and probing are done: every surviving example's sequence can
-	// go back to the pool for the next window.
-	for i := range p.examples {
-		p.putSeq(p.examples[i].seq)
-		p.examples[i].seq = nil
-	}
 	p.examples = p.examples[:0]
 	p.examplesSeen = 0
 	p.windowLPNs = p.windowLPNs[:0]
-	p.windowEpoch++
+	if p.windowEpoch++; p.windowEpoch == 0 {
+		clear(p.windowSeen)
+		p.windowEpoch = 1
+	}
 	p.feat.Decay()
 }
 

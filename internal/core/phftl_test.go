@@ -297,47 +297,6 @@ func TestStreamLayout(t *testing.T) {
 	}
 }
 
-func TestFeatureRing(t *testing.T) {
-	var r featureRing
-	dim := 2
-	mk := func(v float64) []float64 { return []float64{v, v + 0.5} }
-	newDst := func() [][]float64 {
-		dst := make([][]float64, 3)
-		for i := range dst {
-			dst[i] = make([]float64, dim)
-		}
-		return dst
-	}
-	if r.n != 0 {
-		t.Fatalf("fresh ring n = %d", r.n)
-	}
-	for i := 1; i <= 5; i++ {
-		r.append(mk(float64(i)), 3)
-	}
-	snap := r.snapshotInto(newDst(), 3, dim)
-	if len(snap) != 3 {
-		t.Fatalf("len = %d", len(snap))
-	}
-	// Oldest-first: 3, 4, 5.
-	for i, want := range []float64{3, 4, 5} {
-		if snap[i][0] != want {
-			t.Errorf("snap[%d][0] = %v, want %v", i, snap[i][0], want)
-		}
-	}
-	// Snapshot is a copy.
-	snap[0][0] = 999
-	if again := r.snapshotInto(newDst(), 3, dim); again[0][0] == 999 {
-		t.Error("snapshot aliases ring storage")
-	}
-	// Partially filled rings truncate the destination.
-	var r2 featureRing
-	r2.append(mk(1), 3)
-	r2.append(mk(2), 3)
-	if got := r2.snapshotInto(newDst(), 3, dim); len(got) != 2 || got[0][0] != 1 || got[1][0] != 2 {
-		t.Errorf("partial snapshot = %v", got)
-	}
-}
-
 func TestPHFTLModelVariants(t *testing.T) {
 	// The design-space models (§III-B): LSTM (16 hidden to fit the 32-byte
 	// state slot) and stateless MLP must run end to end.
@@ -400,8 +359,8 @@ func TestPHFTLOnTrimResolvesAndResets(t *testing.T) {
 	if p.hostLast[9] != 0 {
 		t.Error("hostLast not reset by trim")
 	}
-	if p.rings[9].n != 0 {
-		t.Error("feature ring not reset by trim")
+	if p.histN[9] != 0 {
+		t.Error("feature history not reset by trim")
 	}
 	if len(p.examples) != examplesBefore+1 {
 		t.Errorf("examples = %d, want %d (trim harvests the pending write)", len(p.examples), examplesBefore+1)

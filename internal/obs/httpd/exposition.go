@@ -16,7 +16,7 @@ import (
 // the renderer drifts, without importing a Prometheus client library.
 func CheckExposition(r io.Reader) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // grow on demand up to a 1 MiB line
 	c := expoChecker{
 		typed:  map[string]string{},
 		helped: map[string]bool{},

@@ -1,8 +1,12 @@
 package httpd
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/phftl/phftl/internal/obs"
+	"github.com/phftl/phftl/internal/obs/registry"
 )
 
 // TestCheckExpositionAccepts pins the validator against a well-formed
@@ -60,5 +64,49 @@ func TestCheckExpositionRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCheckExpositionBytesCeiling pins the checker's heap traffic over a
+// 16-cell registry's /metrics output (the shape a 4-trace × 4-scheme sweep
+// serves): at most 256 KB per call. The checker runs on every scrape of an
+// observed sweep, so a per-call buffer it does not need shows up in that
+// run's allocation per page.
+func TestCheckExpositionBytesCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r := registry.New()
+	for _, trace := range []string{"#52", "#144", "#326", "#52T"} {
+		for _, scheme := range []string{"Base", "2R", "SepBIT", "PHFTL"} {
+			c := r.OpenCell(trace+"/"+scheme, registry.CellMeta{Trace: trace, Scheme: scheme, TargetOps: 1000})
+			c.SetState(registry.StateRunning)
+			c.Record(obs.Event{Kind: obs.KindGCStart, Clock: 5, F0: 0.4})
+			c.Record(obs.Event{Kind: obs.KindGCEnd, Clock: 6})
+			c.Record(obs.Event{Kind: obs.KindWindowRetrain, Clock: 7})
+			c.PublishSample(obs.Sample{Clock: 500, IntervalWA: 1.2, CumWA: 1.3, FreeSB: 12, Threshold: 900,
+				CacheHitRatio: 0.75, LatencyP50MS: 0.1, LatencyP99MS: 0.9, WearSkew: 1.1, WearCoV: 0.05},
+				registry.FTLTotals{UserWrites: 500, GCWrites: 100, MetaWrites: 20})
+		}
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	expo := b.String()
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := CheckExposition(strings.NewReader(expo)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("CheckExposition: %.0f B per call over a %d-byte exposition", perCall, len(expo))
+	if perCall > 256<<10 {
+		t.Errorf("CheckExposition allocates %.0f B per call, want <= %d", perCall, 256<<10)
 	}
 }
