@@ -85,17 +85,23 @@ var (
 	ErrDataTooLarge    = errors.New("nand: data payload exceeds geometry page size")
 )
 
-// page holds the byte payloads of one physical page. Its state and logical
-// identity live in Device.state and Device.lpn.
-type page struct {
-	oob  []byte
-	data []byte // optional stored payload (metadata pages); nil for user data
-}
-
 type block struct {
 	writePtr int // next page index to program (in-block sequential rule)
 	validCnt int
 	eraseCnt int
+	// data is the 1-based index in Device.slots of the first data payload
+	// held by a page of this block, chained through dataSlot.next; 0 when
+	// the block holds none, so an erase of such a block skips the payloads.
+	data int32
+}
+
+// dataSlot holds the data payload of one page that carries one (metadata
+// pages). Slots are chained per block while in use and on Device.freeSlot
+// after an erase, keeping their buffers for the next payload.
+type dataSlot struct {
+	ppn  PPN
+	next int32 // 1-based index of the next slot in the chain; 0 ends it
+	buf  []byte
 }
 
 // Stats aggregates operation counts for the whole device.
@@ -112,12 +118,20 @@ type Stats struct {
 type Device struct {
 	geo Geometry
 
-	// Page records, indexed by PPN. What invalidation and GC walk — one byte
-	// of state, four of lpn — is kept apart from the 48 B of payload slice
-	// headers, so those walks stay dense in cache and need no address split.
+	// Page records, indexed by PPN: one byte of state and four of lpn, all
+	// that invalidation and GC walk, dense in cache and pointer-free.
 	state []PageState
 	lpn   []LPN
-	pages []page
+
+	// OOB payloads: page p's bytes are oob[p*OOBSize:][:oobLen[p]]. Both
+	// slices stay nil until the first program that carries an OOB payload,
+	// so a scheme that never writes one (Base) pays nothing for them.
+	oob    []byte
+	oobLen []uint16
+
+	// Data payloads, kept only for the pages that carry one (see block.data).
+	slots    []dataSlot
+	freeSlot int32 // 1-based head of the chain of unused slots; 0 if none
 
 	// blocks is die-major like PPNs, so page p sits in blocks[p/PagesPerBlock]
 	// and block blk of a die at blocks[die*BlocksPerDie+blk]. pageShift is
@@ -140,7 +154,9 @@ type Device struct {
 }
 
 // NewDevice builds a device with the given geometry. All pages start free.
-// Every slice the device ever uses is allocated here; no operation grows one.
+// Every PPN-indexed slice but the OOB arena is allocated here; the arena is
+// allocated whole by the first program that carries an OOB payload, and
+// data-payload slots grow only until the live metadata pages fit.
 func NewDevice(geo Geometry) (*Device, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -150,7 +166,6 @@ func NewDevice(geo Geometry) (*Device, error) {
 		lat:       DefaultLatency(),
 		state:     make([]PageState, geo.TotalPages()),
 		lpn:       make([]LPN, geo.TotalPages()),
-		pages:     make([]page, geo.TotalPages()),
 		blocks:    make([]block, geo.TotalBlocks()),
 		pageShift: -1,
 		dieErase:  make([]uint64, geo.Dies),
@@ -247,14 +262,29 @@ func (d *Device) ProgramFull(p PPN, lpn LPN, data, oob []byte) error {
 	}
 	d.state[p] = PageValid
 	d.lpn[p] = lpn
-	// A free page's payloads are empty (EraseBlock truncates them), so only
-	// a non-empty payload needs storing — into the capacity the page kept
-	// from earlier program/erase cycles.
+	// A free page's payload lengths are zero (EraseBlock resets them), so
+	// only a non-empty payload needs storing.
 	if len(oob) > 0 {
-		d.pages[p].oob = append(d.pages[p].oob, oob...)
+		if d.oob == nil {
+			d.oob = make([]byte, len(d.state)*d.geo.OOBSize)
+			d.oobLen = make([]uint16, len(d.state))
+		}
+		copy(d.oob[int(p)*d.geo.OOBSize:], oob)
+		d.oobLen[p] = uint16(len(oob))
 	}
 	if len(data) > 0 {
-		d.pages[p].data = append(d.pages[p].data, data...)
+		s := d.freeSlot
+		if s == 0 {
+			d.slots = append(d.slots, dataSlot{})
+			s = int32(len(d.slots))
+		} else {
+			d.freeSlot = d.slots[s-1].next
+		}
+		ds := &d.slots[s-1]
+		ds.ppn = p
+		ds.buf = append(ds.buf[:0], data...)
+		ds.next = b.data
+		b.data = s
 	}
 	b.writePtr = pg + 1
 	b.validCnt++
@@ -268,27 +298,48 @@ func (d *Device) ProgramFull(p PPN, lpn LPN, data, oob []byte) error {
 // Read returns the logical identity and OOB payload stored in a page. The
 // page may be valid or invalid (an FTL may read stale pages during debugging
 // or GC races) but not free. The returned OOB slice aliases device memory and
-// must not be modified.
+// must not be modified; its capacity ends at its length, so appending to it
+// copies.
 func (d *Device) Read(p PPN) (LPN, []byte, error) {
-	lpn, _, oob, err := d.ReadFull(p)
-	return lpn, oob, err
-}
-
-// ReadFull returns the logical identity, stored data payload and OOB payload
-// of a non-free page. The returned slices alias device memory and must not
-// be modified.
-func (d *Device) ReadFull(p PPN) (LPN, []byte, []byte, error) {
 	if int(p) >= len(d.state) {
-		return InvalidLPN, nil, nil, errRange(p)
+		return InvalidLPN, nil, errRange(p)
 	}
 	if d.state[p] == PageFree {
-		return InvalidLPN, nil, nil, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
+		return InvalidLPN, nil, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
 	}
 	d.stats.Reads++
 	if d.onOp != nil {
 		d.onOp(OpRead, p)
 	}
-	return d.lpn[p], d.pages[p].data, d.pages[p].oob, nil
+	var oob []byte
+	if d.oobLen != nil && d.oobLen[p] != 0 {
+		off, n := int(p)*d.geo.OOBSize, int(d.oobLen[p])
+		oob = d.oob[off : off+n : off+n]
+	}
+	return d.lpn[p], oob, nil
+}
+
+// ReadFull returns the logical identity, stored data payload and OOB payload
+// of a non-free page. The returned slices alias device memory and must not
+// be modified; as with Read, appending to them copies.
+func (d *Device) ReadFull(p PPN) (LPN, []byte, []byte, error) {
+	lpn, oob, err := d.Read(p)
+	if err != nil {
+		return lpn, nil, nil, err
+	}
+	return lpn, d.dataOf(p), oob, nil
+}
+
+// dataOf returns the data payload of page p, capacity-capped, or nil when
+// the page carries none.
+func (d *Device) dataOf(p PPN) []byte {
+	blk, _ := d.split(p)
+	for s := d.blocks[blk].data; s != 0; s = d.slots[s-1].next {
+		if ds := &d.slots[s-1]; ds.ppn == p {
+			return ds.buf[:len(ds.buf):len(ds.buf)]
+		}
+	}
+	return nil
 }
 
 // Invalidate marks a valid page as stale (its logical page was overwritten or
@@ -328,13 +379,20 @@ func (d *Device) EraseBlock(die, blk int) error {
 	end := int(first) + d.geo.PagesPerBlock
 	clear(d.state[first:end]) // PageFree
 	clear(d.lpn[first:end])
-	// Empty the payloads but keep their capacity: superblocks cycle through
-	// erase constantly under GC, and dropping the buffers here would make
-	// every re-program after an erase allocate afresh.
-	for i := int(first); i < end; i++ {
-		pr := &d.pages[i]
-		pr.oob = pr.oob[:0]
-		pr.data = pr.data[:0]
+	if d.oobLen != nil {
+		clear(d.oobLen[first:end])
+	}
+	// Hand the block's data slots to the free chain with their buffers:
+	// superblocks cycle through erase constantly under GC, and dropping the
+	// buffers here would make every re-program after an erase allocate.
+	if b.data != 0 {
+		last := b.data
+		for d.slots[last-1].next != 0 {
+			last = d.slots[last-1].next
+		}
+		d.slots[last-1].next = d.freeSlot
+		d.freeSlot = b.data
+		b.data = 0
 	}
 	b.writePtr = 0
 	d.eraseSq += float64(2*b.eraseCnt + 1)

@@ -200,8 +200,8 @@ func TestFlatLayoutAddressing(t *testing.T) {
 				if _, err := d.LPNAt(p); !errors.Is(err, ErrReadFree) {
 					t.Fatalf("ppn %d: LPNAt of a free page: err = %v", p, err)
 				}
-				if d.lpn[p] != 0 || len(d.pages[p].oob) != 0 {
-					t.Fatalf("ppn %d: free page keeps lpn %d, oob %v", p, d.lpn[p], d.pages[p].oob)
+				if d.lpn[p] != 0 || d.oobLen[p] != 0 || d.dataOf(p) != nil {
+					t.Fatalf("ppn %d: free page keeps lpn %d, oob length %d, data %v", p, d.lpn[p], d.oobLen[p], d.dataOf(p))
 				}
 				return
 			}

@@ -10,7 +10,10 @@
 // is retained, which keeps multi-gigabyte virtual drives cheap to simulate.
 package nand
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Geometry describes the physical layout of a simulated NAND device.
 //
@@ -26,13 +29,16 @@ type Geometry struct {
 	Dies          int // independent dies (parallel units)
 }
 
-// Validate reports an error if any geometry parameter is non-positive.
+// Validate reports an error if any geometry parameter is non-positive, or if
+// OOBSize exceeds the 65535 bytes the device records an OOB length in.
 func (g Geometry) Validate() error {
 	switch {
 	case g.PageSize <= 0:
 		return fmt.Errorf("nand: PageSize must be positive, got %d", g.PageSize)
 	case g.OOBSize < 0:
 		return fmt.Errorf("nand: OOBSize must be non-negative, got %d", g.OOBSize)
+	case g.OOBSize > math.MaxUint16:
+		return fmt.Errorf("nand: OOBSize must be at most %d, got %d", math.MaxUint16, g.OOBSize)
 	case g.PagesPerBlock <= 0:
 		return fmt.Errorf("nand: PagesPerBlock must be positive, got %d", g.PagesPerBlock)
 	case g.BlocksPerDie <= 0:

@@ -20,9 +20,15 @@ func TestGeometryValidate(t *testing.T) {
 	}{
 		{"zero page size", func(g *Geometry) { g.PageSize = 0 }},
 		{"negative oob", func(g *Geometry) { g.OOBSize = -1 }},
+		{"oob length past uint16", func(g *Geometry) { g.OOBSize = 1 << 16 }},
 		{"zero pages per block", func(g *Geometry) { g.PagesPerBlock = 0 }},
 		{"zero blocks per die", func(g *Geometry) { g.BlocksPerDie = 0 }},
 		{"zero dies", func(g *Geometry) { g.Dies = 0 }},
+	}
+	widest := testGeo()
+	widest.OOBSize = 1<<16 - 1
+	if err := widest.Validate(); err != nil {
+		t.Errorf("OOBSize 65535 rejected: %v", err)
 	}
 	for _, tc := range cases {
 		g := testGeo()
