@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race allocs loc fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check
+.PHONY: check vet build test race allocs loc fmt bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check models-check
 
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
-check: vet build race allocs fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check bench-quick
+check: vet build race allocs fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check models-check bench-quick
 
 vet:
 	$(GO) vet ./...
@@ -121,6 +121,16 @@ golden-check:
 		echo "golden-check: replay differs from $(GOLDEN_DIR); run 'make golden' only for an intentional behaviour change"; \
 		exit 1; }
 	@echo "golden-check: $(GOLDEN_DIR) reproduced byte for byte"
+
+## models-check: the design-space ablation gate. golden-check replays only
+## the GRU, so the LSTM and MLP Table I rows recorded in results_lstm.txt and
+## results_mlp.txt are re-run and diffed byte for byte (~20 s each).
+MODELS_FLAGS := -dw 6 -traces "\#52,\#144,\#228"
+
+models-check:
+	$(GO) run ./cmd/clfbench -model lstm $(MODELS_FLAGS) | diff results_lstm.txt -
+	$(GO) run ./cmd/clfbench -model mlp $(MODELS_FLAGS) | diff results_mlp.txt -
+	@echo "models-check: results_lstm.txt and results_mlp.txt reproduced byte for byte"
 
 # gofmt -l prints offending files; grep inverts that into an exit status.
 fmt:

@@ -356,9 +356,12 @@ func (m *MetaStore) Put(ppn nand.PPN, e Entry) {
 }
 
 // Seal serializes an open superblock's buffered entries into its tail meta
-// pages and releases the RAM buffer. The returned buffers are owned by the
-// store and reused on the next Seal call: the FTL programs them immediately
-// (the device copies page payloads), so nothing downstream retains them.
+// pages and releases the RAM buffer. Page p holds the entries of data pages
+// p·entriesPerPage onward, and only as many as exist: the last page may be
+// partial, and MetaLayout can leave a trailing page with none. The returned
+// buffers are owned by the store and reused on the next Seal call: the FTL
+// programs them immediately (the device copies page payloads), so nothing
+// downstream retains them.
 func (m *MetaStore) Seal(sb int) [][]byte {
 	buf := m.openBufs[sb]
 	if buf != nil {
@@ -368,17 +371,16 @@ func (m *MetaStore) Seal(sb int) [][]byte {
 	if m.sealBufs == nil {
 		m.sealBufs = make([][]byte, m.metaPages)
 		for p := range m.sealBufs {
-			m.sealBufs[p] = make([]byte, m.entriesPerPage*EntrySize)
+			n := min(m.entriesPerPage, max(0, m.dataPages-p*m.entriesPerPage))
+			m.sealBufs[p] = make([]byte, n*EntrySize)
 		}
 	}
 	pages := m.sealBufs
-	for p := range pages {
-		page := pages[p]
-		for i := 0; i < m.entriesPerPage; i++ {
-			off := p*m.entriesPerPage + i
+	for p, page := range pages {
+		for i := 0; i < len(page)/EntrySize; i++ {
 			var e Entry
-			if buf != nil && off < len(buf) {
-				e = buf[off]
+			if buf != nil {
+				e = buf[p*m.entriesPerPage+i]
 			}
 			EncodeEntry(page[i*EntrySize:i*EntrySize:(i+1)*EntrySize], e)
 		}

@@ -162,6 +162,50 @@ func TestMetaStoreOpenBufferAndSeal(t *testing.T) {
 	}
 }
 
+// TestMetaStoreSealPartialPages: Seal writes only the superblock's
+// dataPages entries, so a last meta page may be partial and a trailing one
+// empty (MetaLayout leaves one when pagesPerSB = entriesPerPage + 2); every
+// entry still round-trips through Seal and Get.
+func TestMetaStoreSealPartialPages(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ppb, dies int
+		wantSizes []int // entries per meta page
+	}{
+		{"empty trailing page", 3, 2, []int{4, 0}}, // 6 pages: 4 data + 2 meta
+		{"partial last page", 4, 2, []int{4, 2}},   // 8 pages: 6 data + 2 meta
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			geo := nand.Geometry{PageSize: 4 * EntrySize, OOBSize: 64, PagesPerBlock: tc.ppb, BlocksPerDie: 8, Dies: tc.dies}
+			data, meta, epp := MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
+			rd := &fakeReader{pages: map[nand.PPN][]byte{}}
+			ms := NewMetaStore(geo, data, meta, epp, 0.01, rd)
+			for off := 0; off < data; off++ {
+				ms.Put(geo.SuperblockPPN(1, off), Entry{LastWrite: uint32(100 + off)})
+			}
+			pages := ms.Seal(1)
+			if len(pages) != len(tc.wantSizes) {
+				t.Fatalf("sealed %d pages, want %d", len(pages), len(tc.wantSizes))
+			}
+			for p, buf := range pages {
+				if len(buf) != tc.wantSizes[p]*EntrySize {
+					t.Fatalf("page %d is %d bytes, want %d entries", p, len(buf), tc.wantSizes[p])
+				}
+				rd.pages[geo.SuperblockPPN(1, data+p)] = append([]byte(nil), buf...)
+			}
+			for off := 0; off < data; off++ {
+				got, err := ms.Get(geo.SuperblockPPN(1, off))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.LastWrite != uint32(100+off) {
+					t.Fatalf("off %d: LastWrite %d, want %d", off, got.LastWrite, 100+off)
+				}
+			}
+		})
+	}
+}
+
 func TestMetaStoreDefaultEntry(t *testing.T) {
 	geo := metaTestGeo()
 	data, meta, epp := MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
@@ -408,11 +452,11 @@ func TestMetaStoreMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: Seal(%d) gave %d pages", seed, i, sb, len(pages))
 				}
 				for p, buf := range pages {
-					for k := 0; k < epp; k++ {
-						var want Entry
-						if off := p*epp + k; off < data {
-							want = mod.entries[geo.SuperblockPPN(sb, off)]
-						}
+					if n := min(epp, data-p*epp); len(buf) != n*EntrySize {
+						t.Fatalf("seed %d op %d: Seal(%d) page %d is %d bytes, want %d entries", seed, i, sb, p, len(buf), n)
+					}
+					for k := 0; k < len(buf)/EntrySize; k++ {
+						want := mod.entries[geo.SuperblockPPN(sb, p*epp+k)]
 						if got := DecodeEntry(buf[k*EntrySize:]); got != want {
 							t.Fatalf("seed %d op %d: Seal(%d) page %d slot %d = %+v, want %+v", seed, i, sb, p, k, got, want)
 						}

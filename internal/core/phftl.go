@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -145,8 +146,8 @@ type PHFTL struct {
 	feat *FeatureExtractor
 	adj  *ThresholdAdjuster
 
-	model    ml.SequenceModel // host-side float model, trained every window
-	deployed ml.SequenceModel // device-side model (quantized when opts.Quantize)
+	model    *ml.Net // host-side float model, trained every window
+	deployed *ml.Net // device-side model (quantized when opts.Quantize)
 	opt      *ml.Adam
 
 	// hist holds every LPN's last SeqLen feature vectors as packed rows in
@@ -251,7 +252,7 @@ func New(geo nand.Geometry, exportedPages int, opts Options) (*PHFTL, error) {
 	}
 	dataPages, metaPages, epp := MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	var model ml.SequenceModel
+	var model *ml.Net
 	switch opts.Model {
 	case "gru":
 		model = ml.NewGRUNet(InputDim, opts.Hidden, ml.NumClassesDefault, rng)
@@ -705,14 +706,10 @@ func (p *PHFTL) endWindow(now uint64) {
 			p.stats.TrainedExamples += uint64(len(samples))
 			// Deploy in place: copy (and optionally quantize) the trained
 			// weights into the device-side model rather than allocating a
-			// fresh one. The fallback covers a deployed model of a different
-			// shape (cannot happen today, but stays correct if it could).
-			if !ml.SyncModel(p.deployed, p.model, p.opts.Quantize) {
-				if p.opts.Quantize {
-					p.deployed = p.model.QuantizeModel()
-				} else {
-					p.deployed = p.model.CloneModel()
-				}
+			// fresh one. Both were built from one constructor, so a refusal
+			// is an internal fault, surfaced through Err.
+			if !ml.SyncModel(p.deployed, p.model, p.opts.Quantize) && p.err == nil {
+				p.err = errors.New("core: trained model cannot be deployed onto the device-side model")
 			}
 			p.trainedOnce = true
 			p.deployClock = now

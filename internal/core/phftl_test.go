@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/phftl/phftl/internal/ftl"
+	"github.com/phftl/phftl/internal/ml"
 	"github.com/phftl/phftl/internal/nand"
 )
 
@@ -241,6 +243,31 @@ func TestPHFTLUnquantizedAblation(t *testing.T) {
 	runHotCold(t, f, p, 2, 66)
 	if p.Stats().Deploys == 0 {
 		t.Fatal("float model never deployed")
+	}
+}
+
+// TestPHFTLDeployMismatchSurfacesErr: a device-side model SyncModel refuses
+// to deploy onto is an internal fault. endWindow reports it through Err and
+// keeps the model it has, rather than allocating a replacement.
+func TestPHFTLDeployMismatchSurfacesErr(t *testing.T) {
+	f, p, err := Build(phftlGeo(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := ml.NewGRUNet(InputDim, p.opts.Hidden/2, ml.NumClassesDefault, rand.New(rand.NewSource(1)))
+	p.deployed = other
+	exported := f.ExportedPages()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; p.Err() == nil && i < 4*exported; i++ {
+		if err := f.Write(ftl.UserWrite{LPN: nand.LPN(rng.Intn(exported / 50)), ReqPages: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Err(); err == nil || !strings.Contains(err.Error(), "deployed") {
+		t.Fatalf("Err() = %v, want the refused deployment", err)
+	}
+	if p.deployed != other {
+		t.Fatal("endWindow replaced the device-side model")
 	}
 }
 

@@ -21,7 +21,7 @@ func TestInferenceZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	models := []struct {
 		name string
-		m    SequenceModel
+		m    *Net
 	}{
 		{"GRU", NewGRUNet(8, 32, 2, rng)},
 		{"LSTM", NewLSTMNet(8, 32, 2, rng)},
@@ -30,7 +30,7 @@ func TestInferenceZeroAllocs(t *testing.T) {
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.m
-			x := make([]float64, m.InputSize())
+			x := make([]float64, 8)
 			for i := range x {
 				x[i] = rng.Float64()
 			}
@@ -57,6 +57,28 @@ func TestInferenceZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTrainingZeroAllocs pins that a training step reuses each cell's trace
+// arena and backward buffers: once the arena has grown to the sequence
+// length, AccumulateGradients does not heap-allocate.
+func TestTrainingZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4))
+			m := tc.make(8, 32, 2, rng)
+			seq := randSeq(rng, 8, 8)
+			m.AccumulateGradients(seq, 1) // warm up the trace arena
+			if allocs := testing.AllocsPerRun(50, func() {
+				m.AccumulateGradients(seq, 1)
+			}); allocs != 0 {
+				t.Errorf("AccumulateGradients allocates %.1f per call", allocs)
+			}
+		})
+	}
+}
+
 // TestQuantizedInferenceZeroAllocs covers the actually-deployed artifact: the
 // int8-quantized network produced by QuantizeModel, which is what PHFTL runs
 // per write.
@@ -66,7 +88,7 @@ func TestQuantizedInferenceZeroAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	m := NewGRUNet(8, 32, 2, rng).QuantizeModel()
-	x := make([]float64, m.InputSize())
+	x := make([]float64, 8)
 	state := make([]float64, m.StateSize())
 	out := make([]float64, m.StateSize())
 	_ = m.PredictInto(state, x, out)
@@ -98,7 +120,7 @@ func BenchmarkPredictStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	families := []struct {
 		name string
-		m    SequenceModel
+		m    *Net
 	}{
 		{"gru", NewGRUNet(8, 32, 2, rng)},
 		{"gru-quantized", NewGRUNet(8, 32, 2, rng).QuantizeModel()},
@@ -108,7 +130,7 @@ func BenchmarkPredictStep(b *testing.B) {
 	for _, tc := range families {
 		b.Run(tc.name, func(b *testing.B) {
 			m := tc.m
-			x := make([]float64, m.InputSize())
+			x := make([]float64, 8)
 			for i := range x {
 				x[i] = rng.Float64()
 			}

@@ -1,13 +1,9 @@
 package ml
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
-// GRUNet is PHFTL's Page Classifier network (Figure 3): a single-layer gated
-// recurrent unit with Hidden neurons followed by a fully connected layer to
-// NumClasses output neurons; argmax of the logits is the prediction.
+// gruCell is the paper's recurrence (Figure 3): a single-layer gated
+// recurrent unit whose hidden vector is the persisted state.
 //
 // Gate equations (per step, x = input, h = previous hidden state):
 //
@@ -19,217 +15,109 @@ import (
 // Because h' is a convex combination of h (initially 0) and c ∈ (−1,1),
 // hidden states always lie in (−1,1) — the property PHFTL relies on to cache
 // them as 8-bit integers (§III-C).
-type GRUNet struct {
-	In, Hidden, NumClasses int
-
+type gruCell struct {
 	Wz, Uz, Bz *Tensor
 	Wr, Ur, Br *Tensor
 	Wc, Uc, Bc *Tensor
-	Wout, Bout *Tensor
 
-	// Per-instance inference scratch, sized lazily: Step, Logits and
-	// PredictInto reuse these so the steady-state prediction path performs
-	// zero heap allocations (the §III-C hot path runs once per host write).
-	// Not shared across goroutines — a network is single-owner, like its
-	// gradients.
-	scrZ, scrR, scrC, scrRH, scrLogits []float64
-
-	// Training scratch: forward reuses one stepTrace arena across samples
-	// and backward ping-pongs two dhPrev buffers, so a training epoch stops
-	// allocating per sample. Values are unchanged — only buffer reuse.
-	trArena            []stepTrace
-	zeroState          []float64 // all-zero initial hidden state; never written
+	// scr holds step's gate intermediates; forward reuses one gruTrace
+	// arena across samples (steps counts the last sequence's), and backward
+	// ping-pongs two dhPrev buffers, so neither inference nor a training
+	// epoch allocates per call.
+	scr                gruTrace
+	arena              []gruTrace
+	steps              int
+	zero               []float64 // all-zero initial hidden state; never written
 	bwA, bwB           []float64
 	daZ, daR, daC, drh []float64
-	dhScratch          []float64
-	scrProbs           []float64 // softmax scratch for AccumulateGradients
 }
 
-// NumClassesDefault is the binary short-living / long-living output of the
-// paper's classifier.
-const NumClassesDefault = 2
+// gruTrace holds one step's intermediates for backpropagation.
+type gruTrace struct {
+	x, hPrev, z, r, c, rh, h []float64
+}
 
-// NewGRUNet builds a randomly initialized network.
-func NewGRUNet(in, hidden, classes int, rng *rand.Rand) *GRUNet {
-	n := &GRUNet{
-		In: in, Hidden: hidden, NumClasses: classes,
+func newGRUTrace(hidden int) gruTrace {
+	var t gruTrace
+	vecs(hidden, &t.z, &t.r, &t.c, &t.rh, &t.h)
+	return t
+}
+
+// NewGRUNet builds a randomly initialized GRU classifier with hidden units
+// and classes outputs over in-wide inputs.
+func NewGRUNet(in, hidden, classes int, rng *rand.Rand) *Net {
+	return newNet((&gruCell{
 		Wz: NewTensor(hidden, in), Uz: NewTensor(hidden, hidden), Bz: NewTensor(1, hidden),
 		Wr: NewTensor(hidden, in), Ur: NewTensor(hidden, hidden), Br: NewTensor(1, hidden),
 		Wc: NewTensor(hidden, in), Uc: NewTensor(hidden, hidden), Bc: NewTensor(1, hidden),
-		Wout: NewTensor(classes, hidden), Bout: NewTensor(1, classes),
-	}
-	for _, t := range n.weights() {
-		t.InitXavier(rng)
-	}
-	return n
+	}).init(), hidden, classes, rng)
 }
 
-func (n *GRUNet) weights() []*Tensor {
-	return []*Tensor{n.Wz, n.Uz, n.Bz, n.Wr, n.Ur, n.Br, n.Wc, n.Uc, n.Bc, n.Wout, n.Bout}
+func (g *gruCell) init() *gruCell {
+	H := g.Wz.Rows
+	g.scr = newGRUTrace(H)
+	vecs(H, &g.zero, &g.bwA, &g.bwB, &g.daZ, &g.daR, &g.daC, &g.drh)
+	return g
 }
 
-// Params returns every learnable tensor (for the optimizer).
-func (n *GRUNet) Params() []*Tensor { return n.weights() }
-
-// ZeroGrad clears all parameter gradients.
-func (n *GRUNet) ZeroGrad() {
-	for _, t := range n.weights() {
-		t.ZeroGrad()
-	}
+func (g *gruCell) params() []*Tensor {
+	return []*Tensor{g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wc, g.Uc, g.Bc}
 }
 
-// Clone returns a deep copy of the network.
-func (n *GRUNet) Clone() *GRUNet {
-	return &GRUNet{
-		In: n.In, Hidden: n.Hidden, NumClasses: n.NumClasses,
-		Wz: n.Wz.Clone(), Uz: n.Uz.Clone(), Bz: n.Bz.Clone(),
-		Wr: n.Wr.Clone(), Ur: n.Ur.Clone(), Br: n.Br.Clone(),
-		Wc: n.Wc.Clone(), Uc: n.Uc.Clone(), Bc: n.Bc.Clone(),
-		Wout: n.Wout.Clone(), Bout: n.Bout.Clone(),
-	}
+func (g *gruCell) with(f func(*Tensor) *Tensor) cell {
+	return (&gruCell{
+		Wz: f(g.Wz), Uz: f(g.Uz), Bz: f(g.Bz),
+		Wr: f(g.Wr), Ur: f(g.Ur), Br: f(g.Br),
+		Wc: f(g.Wc), Uc: f(g.Uc), Bc: f(g.Bc),
+	}).init()
 }
 
-// stepTrace captures one step's intermediates for backpropagation.
-type stepTrace struct {
-	x, hPrev, z, r, c, h, rh []float64
-}
+func (g *gruCell) stateSize() int { return g.Wz.Rows }
 
-// Step advances the GRU one time step: given the previous hidden state hPrev
-// and input x, it writes the next hidden state into hOut (which may alias
-// hPrev). This is the O(1) incremental prediction path of §III-C: with the
-// hidden state cached per page, a prediction costs exactly one Step plus one
-// Logits call, regardless of how long the page's history is.
-func (n *GRUNet) Step(hPrev, x, hOut []float64) {
-	n.ensureScratch()
-	n.stepInto(hPrev, x, n.scrZ, n.scrR, n.scrC, n.scrRH, hOut)
-}
+func (g *gruCell) step(hPrev, x, hOut []float64) { g.stepInto(hPrev, x, &g.scr, hOut) }
 
-func (n *GRUNet) ensureScratch() {
-	if len(n.scrZ) != n.Hidden {
-		n.scrZ = make([]float64, n.Hidden)
-		n.scrR = make([]float64, n.Hidden)
-		n.scrC = make([]float64, n.Hidden)
-		n.scrRH = make([]float64, n.Hidden)
-	}
-	if len(n.scrLogits) != n.NumClasses {
-		n.scrLogits = make([]float64, n.NumClasses)
-	}
-}
-
-// stepInto is the allocation-free core of Step: all intermediates (z, r, c,
-// rh) are caller-owned. The gate loops are fused — z, r and r⊙h are produced
-// in one pass — and hOut may alias hPrev (hPrev[i] is read only before
-// hOut[i] is written).
-func (n *GRUNet) stepInto(hPrev, x, z, r, c, rh, hOut []float64) {
-	matVec2(n.Wz, n.Wr, n.Uz, n.Ur, x, hPrev, z, r)
+// stepInto advances one step, keeping the gate intermediates in s. The gate
+// loops are fused — z, r and r⊙h are produced in one pass — and hOut may
+// alias hPrev (hPrev[i] is read only before hOut[i] is written).
+func (g *gruCell) stepInto(hPrev, x []float64, s *gruTrace, hOut []float64) {
+	z, r, c, rh := s.z, s.r, s.c, s.rh
+	matVec2(g.Wz, g.Wr, g.Uz, g.Ur, x, hPrev, z, r)
 	for i := range z {
-		z[i] = sigmoid(z[i] + n.Bz.Data[i])
-		r[i] = sigmoid(r[i] + n.Br.Data[i])
+		z[i] = sigmoid(z[i] + g.Bz.Data[i])
+		r[i] = sigmoid(r[i] + g.Br.Data[i])
 		rh[i] = r[i] * hPrev[i]
 	}
-	matVecPair(n.Wc, n.Uc, x, rh, c)
+	matVecPair(g.Wc, g.Uc, x, rh, c)
 	for i := range c {
-		ci := tanh(c[i] + n.Bc.Data[i])
+		ci := tanh(c[i] + g.Bc.Data[i])
 		c[i] = ci
 		hOut[i] = (1-z[i])*hPrev[i] + z[i]*ci
 	}
 }
 
-func tanh(v float64) float64 { return math.Tanh(v) }
-
-// Logits applies the fully connected output layer to a hidden state. The
-// returned slice is network-owned scratch, overwritten by the next Logits
-// call on this network: use it before the next call, or copy it.
-func (n *GRUNet) Logits(h []float64) []float64 {
-	n.ensureScratch()
-	out := n.scrLogits
-	matVec(n.Wout, h, out)
-	for i := range out {
-		out[i] += n.Bout.Data[i]
+func (g *gruCell) forward(seq [][]float64) []float64 {
+	for len(g.arena) < len(seq) {
+		g.arena = append(g.arena, newGRUTrace(g.Wz.Rows))
 	}
-	return out
-}
-
-// Predict runs a full sequence from a zero hidden state and returns the
-// argmax class of the final step.
-func (n *GRUNet) Predict(seq [][]float64) int {
-	h := make([]float64, n.Hidden)
-	for _, x := range seq {
-		n.Step(h, x, h)
-	}
-	return Argmax(n.Logits(h))
-}
-
-// PredictFrom runs one incremental step from a cached hidden state and
-// returns (class, new hidden state).
-func (n *GRUNet) PredictFrom(hPrev, x []float64) (int, []float64) {
-	h := make([]float64, n.Hidden)
-	cls := n.PredictInto(hPrev, x, h)
-	return cls, h
-}
-
-// PredictInto is the allocation-free incremental prediction: one Step from
-// statePrev writing the new state into stateOut (which may alias statePrev),
-// returning the argmax class. This is the device-side per-write hot path.
-func (n *GRUNet) PredictInto(statePrev, x, stateOut []float64) int {
-	n.Step(statePrev, x, stateOut)
-	return Argmax(n.Logits(stateOut))
-}
-
-// Argmax returns the index of the largest element.
-func Argmax(v []float64) int {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// forward runs a sequence keeping per-step traces for BPTT and returns the
-// traces and the final hidden state. Traces live in a per-network arena that
-// the next forward call overwrites; backward must consume them first (which
-// AccumulateGradients does).
-func (n *GRUNet) forward(seq [][]float64) ([]stepTrace, []float64) {
-	H := n.Hidden
-	if len(n.zeroState) != H {
-		n.zeroState = make([]float64, H)
-	}
-	for len(n.trArena) < len(seq) {
-		n.trArena = append(n.trArena, stepTrace{
-			hPrev: make([]float64, H),
-			z:     make([]float64, H),
-			r:     make([]float64, H),
-			c:     make([]float64, H),
-			h:     make([]float64, H),
-			rh:    make([]float64, H),
-		})
-	}
-	traces := n.trArena[:len(seq)]
-	h := n.zeroState
+	g.steps = len(seq)
+	h := g.zero
 	for i, x := range seq {
-		tr := &traces[i]
-		tr.x = x
-		copy(tr.hPrev, h)
-		n.stepInto(tr.hPrev, x, tr.z, tr.r, tr.c, tr.rh, tr.h)
+		tr := &g.arena[i]
+		tr.x, tr.hPrev = x, h // h is the previous trace's output: stable until the next forward
+		g.stepInto(h, x, tr, tr.h)
 		h = tr.h
 	}
-	return traces, h
+	return h
 }
 
-// backward backpropagates dh (gradient w.r.t. the final hidden state)
-// through the recorded traces, accumulating parameter gradients. All
-// temporaries are per-network scratch; the caller's dh is only read.
-func (n *GRUNet) backward(traces []stepTrace, dh []float64) {
-	H := n.Hidden
-	n.ensureTrainScratch()
-	daZ, daR, daC, drh := n.daZ, n.daR, n.daC, n.drh
+func (g *gruCell) backward(dh []float64) {
+	H := g.Wz.Rows
+	daZ, daR, daC, drh := g.daZ, g.daR, g.daC, g.drh
 	// dhPrev buffers ping-pong: the target is always distinct from the
 	// current dh (which on the first step is the caller's slice).
-	spare, next := n.bwA, n.bwB
-	for t := len(traces) - 1; t >= 0; t-- {
-		tr := &traces[t]
+	spare, next := g.bwA, g.bwB
+	for t := g.steps - 1; t >= 0; t-- {
+		tr := &g.arena[t]
 		dhPrev := spare
 		for i := 0; i < H; i++ {
 			z, c := tr.z[i], tr.c[i]
@@ -237,93 +125,23 @@ func (n *GRUNet) backward(traces []stepTrace, dh []float64) {
 			daZ[i] = dh[i] * (c - tr.hPrev[i]) * z * (1 - z)
 			dhPrev[i] = dh[i] * (1 - z)
 		}
-		outerAddGrad(n.Wc, daC, tr.x)
-		outerAddGrad(n.Uc, daC, tr.rh)
-		addGrad(n.Bc, daC)
-		for i := range drh {
-			drh[i] = 0
-		}
-		matTVecAdd(n.Uc, daC, drh)
+		outerAddGrad(g.Wc, daC, tr.x)
+		outerAddGrad(g.Uc, daC, tr.rh)
+		addGrad(g.Bc, daC)
+		clear(drh)
+		matTVecAdd(g.Uc, daC, drh)
 		for i := 0; i < H; i++ {
 			r := tr.r[i]
 			dhPrev[i] += drh[i] * r
 			daR[i] = drh[i] * tr.hPrev[i] * r * (1 - r)
 		}
-		outerAddGrad2(n.Wz, n.Wr, daZ, daR, tr.x)
-		outerAddGrad2(n.Uz, n.Ur, daZ, daR, tr.hPrev)
-		addGrad(n.Bz, daZ)
-		addGrad(n.Br, daR)
-		matTVecAdd(n.Uz, daZ, dhPrev)
-		matTVecAdd(n.Ur, daR, dhPrev)
+		outerAddGrad2(g.Wz, g.Wr, daZ, daR, tr.x)
+		outerAddGrad2(g.Uz, g.Ur, daZ, daR, tr.hPrev)
+		addGrad(g.Bz, daZ)
+		addGrad(g.Br, daR)
+		matTVecAdd(g.Uz, daZ, dhPrev)
+		matTVecAdd(g.Ur, daR, dhPrev)
 		dh = dhPrev
 		spare, next = next, spare
 	}
-}
-
-func (n *GRUNet) ensureTrainScratch() {
-	if len(n.daZ) != n.Hidden {
-		n.daZ = make([]float64, n.Hidden)
-		n.daR = make([]float64, n.Hidden)
-		n.daC = make([]float64, n.Hidden)
-		n.drh = make([]float64, n.Hidden)
-		n.bwA = make([]float64, n.Hidden)
-		n.bwB = make([]float64, n.Hidden)
-		n.dhScratch = make([]float64, n.Hidden)
-	}
-}
-
-// --- SequenceModel conformance ---
-
-// InputSize implements SequenceModel.
-func (n *GRUNet) InputSize() int { return n.In }
-
-// StateSize implements SequenceModel: the GRU persists its hidden vector.
-func (n *GRUNet) StateSize() int { return n.Hidden }
-
-// NumOutputs implements SequenceModel.
-func (n *GRUNet) NumOutputs() int { return n.NumClasses }
-
-// StepState implements SequenceModel.
-func (n *GRUNet) StepState(statePrev, x, stateOut []float64) { n.Step(statePrev, x, stateOut) }
-
-// LogitsFromState implements SequenceModel.
-func (n *GRUNet) LogitsFromState(state []float64) []float64 { return n.Logits(state) }
-
-// CloneModel implements SequenceModel.
-func (n *GRUNet) CloneModel() SequenceModel { return n.Clone() }
-
-// QuantizeModel implements SequenceModel.
-func (n *GRUNet) QuantizeModel() SequenceModel { return n.Quantize() }
-
-// ShadowClone implements SequenceModel: parameter Data is shared with the
-// receiver, gradients and scratch are private (see Tensor.Shadow).
-func (n *GRUNet) ShadowClone() SequenceModel {
-	return &GRUNet{
-		In: n.In, Hidden: n.Hidden, NumClasses: n.NumClasses,
-		Wz: n.Wz.Shadow(), Uz: n.Uz.Shadow(), Bz: n.Bz.Shadow(),
-		Wr: n.Wr.Shadow(), Ur: n.Ur.Shadow(), Br: n.Br.Shadow(),
-		Wc: n.Wc.Shadow(), Uc: n.Uc.Shadow(), Bc: n.Bc.Shadow(),
-		Wout: n.Wout.Shadow(), Bout: n.Bout.Shadow(),
-	}
-}
-
-// AccumulateGradients implements SequenceModel: forward + BPTT for one
-// labeled sequence, accumulating parameter gradients.
-func (n *GRUNet) AccumulateGradients(seq [][]float64, label int) float64 {
-	traces, h := n.forward(seq)
-	logits := n.Logits(h)
-	if len(n.scrProbs) != n.NumClasses {
-		n.scrProbs = make([]float64, n.NumClasses)
-	}
-	loss, dLogits := SoftmaxCrossEntropyInto(logits, label, n.scrProbs)
-	outerAddGrad(n.Wout, dLogits, h)
-	addGrad(n.Bout, dLogits)
-	n.ensureTrainScratch()
-	dh := n.dhScratch
-	for i := range dh {
-		dh[i] = 0
-	}
-	matTVecAdd(n.Wout, dLogits, dh)
-	n.backward(traces, dh)
-	return loss
 }

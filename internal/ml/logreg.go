@@ -79,19 +79,10 @@ func (m *LogReg) Accuracy(features [][]float64, labels []int) float64 {
 	return float64(correct) / float64(len(features))
 }
 
-// TrainEvalLogReg implements Algorithm 1's TrainEvalLightModel: it trains a
-// logistic regression on a 70% split and returns held-out accuracy on the
-// remaining 30% (falling back to training accuracy for tiny sets). The split
-// is deterministic for the seed.
-func TrainEvalLogReg(features [][]float64, labels []int, seed int64) float64 {
-	return new(LogRegEvaluator).Eval(features, labels, seed)
-}
-
-// LogRegEvaluator is TrainEvalLogReg with pooled scratch: the RNG, the split
-// permutation, the train/test views and the model weights are all reused
-// across calls, so the per-window threshold probes (three per window in
-// Algorithm 1) stop allocating. The zero value is ready to use; results are
-// bit-identical to TrainEvalLogReg for the same inputs.
+// LogRegEvaluator implements Algorithm 1's TrainEvalLightModel. The RNG,
+// the split permutation, the train/test views and the model weights are
+// reused across calls, so the per-window threshold probes (three per window
+// in Algorithm 1) do not allocate. The zero value is ready to use.
 type LogRegEvaluator struct {
 	rng      *rand.Rand
 	order    []int
@@ -100,7 +91,9 @@ type LogRegEvaluator struct {
 	model    LogReg
 }
 
-// Eval is TrainEvalLogReg against the pooled scratch.
+// Eval trains a logistic regression on a 70% split and returns held-out
+// accuracy on the remaining 30% (falling back to training accuracy for tiny
+// sets). The split is deterministic for the seed.
 func (ev *LogRegEvaluator) Eval(features [][]float64, labels []int, seed int64) float64 {
 	n := len(features)
 	if n == 0 {

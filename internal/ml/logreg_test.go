@@ -38,7 +38,7 @@ func TestTrainEvalLogRegHeldOut(t *testing.T) {
 		feats = append(feats, x)
 		labels = append(labels, label)
 	}
-	acc := TrainEvalLogReg(feats, labels, 1)
+	acc := new(LogRegEvaluator).Eval(feats, labels, 1)
 	if acc < 0.9 {
 		t.Fatalf("held-out accuracy = %.3f, want >= 0.9", acc)
 	}
@@ -48,18 +48,19 @@ func TestTrainEvalLogRegHeldOut(t *testing.T) {
 	for i := range randLabels {
 		randLabels[i] = rng.Intn(2)
 	}
-	randAcc := TrainEvalLogReg(feats, randLabels, 1)
+	randAcc := new(LogRegEvaluator).Eval(feats, randLabels, 1)
 	if randAcc > acc {
 		t.Fatalf("random labels scored %.3f >= separable %.3f", randAcc, acc)
 	}
 }
 
 func TestTrainEvalLogRegDegenerate(t *testing.T) {
-	if acc := TrainEvalLogReg(nil, nil, 1); acc != 0 {
+	var ev LogRegEvaluator
+	if acc := ev.Eval(nil, nil, 1); acc != 0 {
 		t.Errorf("empty = %v", acc)
 	}
 	// Tiny set falls back to training accuracy without panicking.
-	acc := TrainEvalLogReg([][]float64{{1}}, []int{1}, 1)
+	acc := ev.Eval([][]float64{{1}}, []int{1}, 1)
 	if acc != 1 {
 		t.Errorf("single sample accuracy = %v, want 1 (memorized)", acc)
 	}

@@ -2,13 +2,12 @@ package ml
 
 import "math/rand"
 
-// LSTMNet is a single-layer long short-term memory network with a fully
-// connected output head — one of the architectures explored in the paper's
-// design iterations before settling on the GRU (§III-B). Its persistent
-// per-page state is the concatenation [h ‖ c] (both bounded in (−1,1): h by
-// the output tanh·sigmoid product, c by an explicit clamp), so it can be
-// cached in the flash metadata entry like the GRU hidden state but needs
-// twice the bytes per hidden unit.
+// lstmCell is a single-layer long short-term memory recurrence — one of the
+// architectures explored in the paper's design iterations before settling on
+// the GRU (§III-B). Its persistent per-page state is the concatenation
+// [h ‖ c] (both bounded in (−1,1): h by the output tanh·sigmoid product, c by
+// an explicit clamp), so it can be cached in the flash metadata entry like
+// the GRU hidden state but needs twice the bytes per hidden unit.
 //
 // Gate equations (per step):
 //
@@ -18,263 +17,134 @@ import "math/rand"
 //	g = tanh(Wg·x + Ug·h + bg)      candidate cell
 //	c' = clamp(f⊙c + i⊙g, −1, 1)
 //	h' = o ⊙ tanh(c')
-type LSTMNet struct {
-	In, Hidden, NumClasses int
-
+type lstmCell struct {
 	Wi, Ui, Bi *Tensor
 	Wf, Uf, Bf *Tensor
 	Wo, Uo, Bo *Tensor
 	Wg, Ug, Bg *Tensor
-	Wout, Bout *Tensor
 
-	// Per-instance inference scratch (see GRUNet): StepState, LogitsFromState
-	// and PredictInto reuse these, making steady-state prediction
-	// allocation-free. Single-owner, like the gradients.
-	scrI, scrF, scrO, scrG, scrLogits []float64
+	// Scratch, as in gruCell: step's intermediates, forward's trace arena
+	// and backward's ping-pong buffers.
+	scr                lstmTrace
+	arena              []lstmTrace
+	steps              int
+	zero               []float64 // all-zero initial h and c; never written
+	dhA, dhB, dcA, dcB []float64
+	daI, daF, daO, daG []float64
 }
 
-// NewLSTMNet builds a randomly initialized network.
-func NewLSTMNet(in, hidden, classes int, rng *rand.Rand) *LSTMNet {
-	n := &LSTMNet{
-		In: in, Hidden: hidden, NumClasses: classes,
+// lstmTrace holds one step's intermediates for backpropagation.
+type lstmTrace struct {
+	x, hPrev, cPrev      []float64
+	i, f, o, g, tc, h, c []float64
+	clamped              []bool
+}
+
+func newLSTMTrace(hidden int) lstmTrace {
+	t := lstmTrace{clamped: make([]bool, hidden)}
+	vecs(hidden, &t.i, &t.f, &t.o, &t.g, &t.tc, &t.h, &t.c)
+	return t
+}
+
+// NewLSTMNet builds a randomly initialized LSTM classifier.
+func NewLSTMNet(in, hidden, classes int, rng *rand.Rand) *Net {
+	l := (&lstmCell{
 		Wi: NewTensor(hidden, in), Ui: NewTensor(hidden, hidden), Bi: NewTensor(1, hidden),
 		Wf: NewTensor(hidden, in), Uf: NewTensor(hidden, hidden), Bf: NewTensor(1, hidden),
 		Wo: NewTensor(hidden, in), Uo: NewTensor(hidden, hidden), Bo: NewTensor(1, hidden),
 		Wg: NewTensor(hidden, in), Ug: NewTensor(hidden, hidden), Bg: NewTensor(1, hidden),
-		Wout: NewTensor(classes, hidden), Bout: NewTensor(1, classes),
-	}
-	for _, t := range n.Params() {
-		t.InitXavier(rng)
-	}
+	}).init()
+	n := newNet(l, hidden, classes, rng)
 	// Forget-gate bias initialized positive, the standard LSTM trick for
 	// gradient flow early in training.
-	for i := range n.Bf.Data {
-		n.Bf.Data[i] = 1
+	for i := range l.Bf.Data {
+		l.Bf.Data[i] = 1
 	}
 	return n
 }
 
-// Params implements SequenceModel.
-func (n *LSTMNet) Params() []*Tensor {
+func (l *lstmCell) init() *lstmCell {
+	H := l.Wi.Rows
+	l.scr = newLSTMTrace(H)
+	vecs(H, &l.zero, &l.dhA, &l.dhB, &l.dcA, &l.dcB, &l.daI, &l.daF, &l.daO, &l.daG)
+	return l
+}
+
+func (l *lstmCell) params() []*Tensor {
 	return []*Tensor{
-		n.Wi, n.Ui, n.Bi, n.Wf, n.Uf, n.Bf,
-		n.Wo, n.Uo, n.Bo, n.Wg, n.Ug, n.Bg,
-		n.Wout, n.Bout,
+		l.Wi, l.Ui, l.Bi, l.Wf, l.Uf, l.Bf,
+		l.Wo, l.Uo, l.Bo, l.Wg, l.Ug, l.Bg,
 	}
 }
 
-// ZeroGrad implements SequenceModel.
-func (n *LSTMNet) ZeroGrad() {
-	for _, t := range n.Params() {
-		t.ZeroGrad()
-	}
+func (l *lstmCell) with(f func(*Tensor) *Tensor) cell {
+	return (&lstmCell{
+		Wi: f(l.Wi), Ui: f(l.Ui), Bi: f(l.Bi),
+		Wf: f(l.Wf), Uf: f(l.Uf), Bf: f(l.Bf),
+		Wo: f(l.Wo), Uo: f(l.Uo), Bo: f(l.Bo),
+		Wg: f(l.Wg), Ug: f(l.Ug), Bg: f(l.Bg),
+	}).init()
 }
 
-// InputSize implements SequenceModel.
-func (n *LSTMNet) InputSize() int { return n.In }
+// stateSize: h and c are both persisted.
+func (l *lstmCell) stateSize() int { return 2 * l.Wi.Rows }
 
-// StateSize implements SequenceModel: h and c are both persisted.
-func (n *LSTMNet) StateSize() int { return 2 * n.Hidden }
-
-// NumOutputs implements SequenceModel.
-func (n *LSTMNet) NumOutputs() int { return n.NumClasses }
-
-// CloneModel implements SequenceModel.
-func (n *LSTMNet) CloneModel() SequenceModel {
-	c := &LSTMNet{In: n.In, Hidden: n.Hidden, NumClasses: n.NumClasses}
-	src := n.Params()
-	dst := []**Tensor{
-		&c.Wi, &c.Ui, &c.Bi, &c.Wf, &c.Uf, &c.Bf,
-		&c.Wo, &c.Uo, &c.Bo, &c.Wg, &c.Ug, &c.Bg,
-		&c.Wout, &c.Bout,
-	}
-	for i, t := range src {
-		*dst[i] = t.Clone()
-	}
-	return c
+// step advances [h ‖ c] in place or into stateOut.
+func (l *lstmCell) step(statePrev, x, stateOut []float64) {
+	H := l.Wi.Rows
+	l.stepInto(statePrev[:H], statePrev[H:2*H], x, &l.scr, stateOut[:H], stateOut[H:2*H])
 }
 
-// ShadowClone implements SequenceModel: parameter Data is shared with the
-// receiver, gradients and scratch are private (see Tensor.Shadow).
-func (n *LSTMNet) ShadowClone() SequenceModel {
-	c := &LSTMNet{In: n.In, Hidden: n.Hidden, NumClasses: n.NumClasses}
-	src := n.Params()
-	dst := []**Tensor{
-		&c.Wi, &c.Ui, &c.Bi, &c.Wf, &c.Uf, &c.Bf,
-		&c.Wo, &c.Uo, &c.Bo, &c.Wg, &c.Ug, &c.Bg,
-		&c.Wout, &c.Bout,
-	}
-	for i, t := range src {
-		*dst[i] = t.Shadow()
-	}
-	return c
-}
-
-// QuantizeModel implements SequenceModel.
-func (n *LSTMNet) QuantizeModel() SequenceModel {
-	q := n.CloneModel().(*LSTMNet)
-	for _, t := range q.Params() {
-		QuantizeTensor(t)
-	}
-	return q
-}
-
-// lstmTrace captures one step's intermediates for backpropagation.
-type lstmTrace struct {
-	x, hPrev, cPrev, i, f, o, g, cRaw, c, tc, h []float64
-	clamped                                     []bool
-}
-
-func (n *LSTMNet) stepTraced(hPrev, cPrev, x []float64) lstmTrace {
-	H := n.Hidden
-	tr := lstmTrace{
-		x:     x,
-		hPrev: append([]float64(nil), hPrev...),
-		cPrev: append([]float64(nil), cPrev...),
-		i:     make([]float64, H), f: make([]float64, H),
-		o: make([]float64, H), g: make([]float64, H),
-		cRaw: make([]float64, H), c: make([]float64, H),
-		tc: make([]float64, H), h: make([]float64, H),
-		clamped: make([]bool, H),
-	}
-	matVec(n.Wi, x, tr.i)
-	matVecAdd(n.Ui, hPrev, tr.i)
-	matVec(n.Wf, x, tr.f)
-	matVecAdd(n.Uf, hPrev, tr.f)
-	matVec(n.Wo, x, tr.o)
-	matVecAdd(n.Uo, hPrev, tr.o)
-	matVec(n.Wg, x, tr.g)
-	matVecAdd(n.Ug, hPrev, tr.g)
-	for k := 0; k < H; k++ {
-		tr.i[k] = sigmoid(tr.i[k] + n.Bi.Data[k])
-		tr.f[k] = sigmoid(tr.f[k] + n.Bf.Data[k])
-		tr.o[k] = sigmoid(tr.o[k] + n.Bo.Data[k])
-		tr.g[k] = tanh(tr.g[k] + n.Bg.Data[k])
-		tr.cRaw[k] = tr.f[k]*cPrev[k] + tr.i[k]*tr.g[k]
-		tr.c[k] = tr.cRaw[k]
-		// Clamp the cell into (−1,1) so the persisted state stays int8-able.
-		if tr.c[k] > 0.999 {
-			tr.c[k] = 0.999
-			tr.clamped[k] = true
-		} else if tr.c[k] < -0.999 {
-			tr.c[k] = -0.999
-			tr.clamped[k] = true
-		}
-		tr.tc[k] = tanh(tr.c[k])
-		tr.h[k] = tr.o[k] * tr.tc[k]
-	}
-	return tr
-}
-
-// StepState implements SequenceModel: statePrev/stateOut are [h ‖ c].
-// stateOut may alias statePrev; no heap allocations in steady state.
-func (n *LSTMNet) StepState(statePrev, x, stateOut []float64) {
-	n.ensureScratch()
-	H := n.Hidden
-	hPrev, cPrev := statePrev[:H], statePrev[H:2*H]
-	i, f, o, g := n.scrI, n.scrF, n.scrO, n.scrG
-	matVec(n.Wi, x, i)
-	matVecAdd(n.Ui, hPrev, i)
-	matVec(n.Wf, x, f)
-	matVecAdd(n.Uf, hPrev, f)
-	matVec(n.Wo, x, o)
-	matVecAdd(n.Uo, hPrev, o)
-	matVec(n.Wg, x, g)
-	matVecAdd(n.Ug, hPrev, g)
-	// Same math (and the same ±0.999 cell clamp) as stepTraced; hPrev is
-	// fully consumed by the matVecAdds above and cPrev[k] is read before
-	// stateOut[H+k] is written, so in-place stepping is safe.
-	for k := 0; k < H; k++ {
-		ik := sigmoid(i[k] + n.Bi.Data[k])
-		fk := sigmoid(f[k] + n.Bf.Data[k])
-		ok := sigmoid(o[k] + n.Bo.Data[k])
-		gk := tanh(g[k] + n.Bg.Data[k])
+// stepInto is the one LSTM step, for inference and training alike; s
+// receives the gates, tanh(c) and the clamp flags. hPrev is fully consumed
+// by the matVec2s before any output is written and cPrev[k] is read before
+// cOut[k] is written, so the outputs may alias the inputs.
+func (l *lstmCell) stepInto(hPrev, cPrev, x []float64, s *lstmTrace, hOut, cOut []float64) {
+	matVec2(l.Wi, l.Wf, l.Ui, l.Uf, x, hPrev, s.i, s.f)
+	matVec2(l.Wo, l.Wg, l.Uo, l.Ug, x, hPrev, s.o, s.g)
+	for k := range s.i {
+		ik := sigmoid(s.i[k] + l.Bi.Data[k])
+		fk := sigmoid(s.f[k] + l.Bf.Data[k])
+		ok := sigmoid(s.o[k] + l.Bo.Data[k])
+		gk := tanh(s.g[k] + l.Bg.Data[k])
 		ck := fk*cPrev[k] + ik*gk
-		if ck > 0.999 {
-			ck = 0.999
-		} else if ck < -0.999 {
-			ck = -0.999
-		}
-		stateOut[k] = ok * tanh(ck)
-		stateOut[H+k] = ck
+		// Clamp the cell into (−1,1) so the persisted state stays int8-able.
+		clamped := ck > 0.999 || ck < -0.999
+		ck = max(-0.999, min(ck, 0.999))
+		tc := tanh(ck)
+		s.i[k], s.f[k], s.o[k], s.g[k], s.tc[k], s.clamped[k] = ik, fk, ok, gk, tc, clamped
+		cOut[k] = ck
+		hOut[k] = ok * tc
 	}
 }
 
-func (n *LSTMNet) ensureScratch() {
-	if len(n.scrI) != n.Hidden {
-		n.scrI = make([]float64, n.Hidden)
-		n.scrF = make([]float64, n.Hidden)
-		n.scrO = make([]float64, n.Hidden)
-		n.scrG = make([]float64, n.Hidden)
+func (l *lstmCell) forward(seq [][]float64) []float64 {
+	for len(l.arena) < len(seq) {
+		l.arena = append(l.arena, newLSTMTrace(l.Wi.Rows))
 	}
-	if len(n.scrLogits) != n.NumClasses {
-		n.scrLogits = make([]float64, n.NumClasses)
-	}
-}
-
-// LogitsFromState implements SequenceModel. The returned slice is
-// network-owned scratch, overwritten by the next call on this network.
-func (n *LSTMNet) LogitsFromState(state []float64) []float64 {
-	n.ensureScratch()
-	out := n.scrLogits
-	matVec(n.Wout, state[:n.Hidden], out)
-	for i := range out {
-		out[i] += n.Bout.Data[i]
-	}
-	return out
-}
-
-// PredictFrom implements SequenceModel.
-func (n *LSTMNet) PredictFrom(statePrev, x []float64) (int, []float64) {
-	state := make([]float64, 2*n.Hidden)
-	cls := n.PredictInto(statePrev, x, state)
-	return cls, state
-}
-
-// PredictInto implements SequenceModel: one allocation-free step, stateOut
-// may alias statePrev.
-func (n *LSTMNet) PredictInto(statePrev, x, stateOut []float64) int {
-	n.StepState(statePrev, x, stateOut)
-	return Argmax(n.LogitsFromState(stateOut))
-}
-
-// Predict implements SequenceModel.
-func (n *LSTMNet) Predict(seq [][]float64) int {
-	state := make([]float64, 2*n.Hidden)
-	for _, x := range seq {
-		n.StepState(state, x, state)
-	}
-	return Argmax(n.LogitsFromState(state))
-}
-
-// AccumulateGradients implements SequenceModel (full BPTT).
-func (n *LSTMNet) AccumulateGradients(seq [][]float64, label int) float64 {
-	H := n.Hidden
-	h := make([]float64, H)
-	c := make([]float64, H)
-	traces := make([]lstmTrace, 0, len(seq))
-	for _, x := range seq {
-		tr := n.stepTraced(h, c, x)
+	l.steps = len(seq)
+	h, c := l.zero, l.zero
+	for t, x := range seq {
+		tr := &l.arena[t]
+		tr.x, tr.hPrev, tr.cPrev = x, h, c
+		l.stepInto(h, c, x, tr, tr.h, tr.c)
 		h, c = tr.h, tr.c
-		traces = append(traces, tr)
 	}
-	logits := n.LogitsFromState(append(append([]float64(nil), h...), c...))
-	loss, dLogits := SoftmaxCrossEntropy(logits, label)
-	outerAddGrad(n.Wout, dLogits, h)
-	addGrad(n.Bout, dLogits)
-	dh := make([]float64, H)
-	dc := make([]float64, H)
-	matTVecAdd(n.Wout, dLogits, dh)
+	return h
+}
 
-	daI := make([]float64, H)
-	daF := make([]float64, H)
-	daO := make([]float64, H)
-	daG := make([]float64, H)
-	for t := len(traces) - 1; t >= 0; t-- {
-		tr := &traces[t]
-		dhPrev := make([]float64, H)
-		dcPrev := make([]float64, H)
-		for k := 0; k < H; k++ {
+func (l *lstmCell) backward(dh []float64) {
+	daI, daF, daO, daG := l.daI, l.daF, l.daO, l.daG
+	// Both gradients ping-pong between two buffers; dc starts at zero in
+	// dcB, so the first dcPrev is dcA.
+	dc := l.dcB
+	clear(dc)
+	spareH, nextH := l.dhA, l.dhB
+	spareC, nextC := l.dcA, l.dcB
+	for t := l.steps - 1; t >= 0; t-- {
+		tr := &l.arena[t]
+		dhPrev, dcPrev := spareH, spareC
+		for k := range dcPrev {
 			// h = o · tanh(c)
 			do := dh[k] * tr.tc[k]
 			dcTot := dc[k] + dh[k]*tr.o[k]*(1-tr.tc[k]*tr.tc[k])
@@ -290,23 +160,21 @@ func (n *LSTMNet) AccumulateGradients(seq [][]float64, label int) float64 {
 			daO[k] = do * tr.o[k] * (1 - tr.o[k])
 			daG[k] = dg * (1 - tr.g[k]*tr.g[k])
 		}
-		outerAddGrad(n.Wi, daI, tr.x)
-		outerAddGrad(n.Ui, daI, tr.hPrev)
-		addGrad(n.Bi, daI)
-		outerAddGrad(n.Wf, daF, tr.x)
-		outerAddGrad(n.Uf, daF, tr.hPrev)
-		addGrad(n.Bf, daF)
-		outerAddGrad(n.Wo, daO, tr.x)
-		outerAddGrad(n.Uo, daO, tr.hPrev)
-		addGrad(n.Bo, daO)
-		outerAddGrad(n.Wg, daG, tr.x)
-		outerAddGrad(n.Ug, daG, tr.hPrev)
-		addGrad(n.Bg, daG)
-		matTVecAdd(n.Ui, daI, dhPrev)
-		matTVecAdd(n.Uf, daF, dhPrev)
-		matTVecAdd(n.Uo, daO, dhPrev)
-		matTVecAdd(n.Ug, daG, dhPrev)
+		outerAddGrad2(l.Wi, l.Wf, daI, daF, tr.x)
+		outerAddGrad2(l.Wo, l.Wg, daO, daG, tr.x)
+		outerAddGrad2(l.Ui, l.Uf, daI, daF, tr.hPrev)
+		outerAddGrad2(l.Uo, l.Ug, daO, daG, tr.hPrev)
+		addGrad(l.Bi, daI)
+		addGrad(l.Bf, daF)
+		addGrad(l.Bo, daO)
+		addGrad(l.Bg, daG)
+		clear(dhPrev)
+		matTVecAdd(l.Ui, daI, dhPrev)
+		matTVecAdd(l.Uf, daF, dhPrev)
+		matTVecAdd(l.Uo, daO, dhPrev)
+		matTVecAdd(l.Ug, daG, dhPrev)
 		dh, dc = dhPrev, dcPrev
+		spareH, nextH = nextH, spareH
+		spareC, nextC = nextC, spareC
 	}
-	return loss
 }

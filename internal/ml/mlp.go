@@ -2,144 +2,49 @@ package ml
 
 import "math/rand"
 
-// MLPNet is a stateless two-layer perceptron classifying each write from its
-// current feature vector alone — the "no history" end of the paper's model
-// design space (§III-B notes prev_lifetime alone reaches ~70% accuracy; the
-// sequence model adds the rest). It satisfies SequenceModel by exposing its
-// last hidden activation as the "state", but never reads the previous state:
-// Predict uses only the final element of the sequence.
-type MLPNet struct {
-	In, Hidden, NumClasses int
+// mlpCell is a stateless tanh layer, making Net a two-layer perceptron that
+// classifies each write from its current feature vector alone — the "no
+// history" end of the paper's model design space (§III-B notes prev_lifetime
+// alone reaches ~70% accuracy; the sequence model adds the rest). Its "state"
+// is the hidden activation of the latest input; the previous state is never
+// read, so a sequence's prediction depends on its last element only.
+type mlpCell struct {
+	W1, B1 *Tensor
 
-	W1, B1     *Tensor
-	Wout, Bout *Tensor
-
-	// Logits scratch (see GRUNet): LogitsFromState reuses this buffer so
-	// steady-state prediction is allocation-free. Single-owner.
-	scrLogits []float64
+	x, h []float64 // forward's input and activation, for backward
 }
 
-// NewMLPNet builds a randomly initialized network.
-func NewMLPNet(in, hidden, classes int, rng *rand.Rand) *MLPNet {
-	n := &MLPNet{
-		In: in, Hidden: hidden, NumClasses: classes,
-		W1: NewTensor(hidden, in), B1: NewTensor(1, hidden),
-		Wout: NewTensor(classes, hidden), Bout: NewTensor(1, classes),
-	}
-	for _, t := range n.Params() {
-		t.InitXavier(rng)
-	}
-	return n
+// NewMLPNet builds a randomly initialized MLP classifier.
+func NewMLPNet(in, hidden, classes int, rng *rand.Rand) *Net {
+	return newNet(&mlpCell{W1: NewTensor(hidden, in), B1: NewTensor(1, hidden), h: make([]float64, hidden)},
+		hidden, classes, rng)
 }
 
-// Params implements SequenceModel.
-func (n *MLPNet) Params() []*Tensor { return []*Tensor{n.W1, n.B1, n.Wout, n.Bout} }
+func (m *mlpCell) params() []*Tensor { return []*Tensor{m.W1, m.B1} }
 
-// ZeroGrad implements SequenceModel.
-func (n *MLPNet) ZeroGrad() {
-	for _, t := range n.Params() {
-		t.ZeroGrad()
-	}
+func (m *mlpCell) with(f func(*Tensor) *Tensor) cell {
+	return &mlpCell{W1: f(m.W1), B1: f(m.B1), h: make([]float64, m.W1.Rows)}
 }
 
-// InputSize implements SequenceModel.
-func (n *MLPNet) InputSize() int { return n.In }
+func (m *mlpCell) stateSize() int { return m.W1.Rows }
 
-// StateSize implements SequenceModel: the tanh hidden activation is exposed
-// (and int8-able) but never consumed.
-func (n *MLPNet) StateSize() int { return n.Hidden }
-
-// NumOutputs implements SequenceModel.
-func (n *MLPNet) NumOutputs() int { return n.NumClasses }
-
-// CloneModel implements SequenceModel.
-func (n *MLPNet) CloneModel() SequenceModel {
-	return &MLPNet{
-		In: n.In, Hidden: n.Hidden, NumClasses: n.NumClasses,
-		W1: n.W1.Clone(), B1: n.B1.Clone(),
-		Wout: n.Wout.Clone(), Bout: n.Bout.Clone(),
-	}
-}
-
-// ShadowClone implements SequenceModel: parameter Data is shared with the
-// receiver, gradients and scratch are private (see Tensor.Shadow).
-func (n *MLPNet) ShadowClone() SequenceModel {
-	return &MLPNet{
-		In: n.In, Hidden: n.Hidden, NumClasses: n.NumClasses,
-		W1: n.W1.Shadow(), B1: n.B1.Shadow(),
-		Wout: n.Wout.Shadow(), Bout: n.Bout.Shadow(),
-	}
-}
-
-// QuantizeModel implements SequenceModel.
-func (n *MLPNet) QuantizeModel() SequenceModel {
-	q := n.CloneModel().(*MLPNet)
-	for _, t := range q.Params() {
-		QuantizeTensor(t)
-	}
-	return q
-}
-
-func (n *MLPNet) hiddenOf(x, out []float64) {
-	matVec(n.W1, x, out)
+func (m *mlpCell) step(_, x, out []float64) {
+	matVec(m.W1, x, out)
 	for i := range out {
-		out[i] = tanh(out[i] + n.B1.Data[i])
+		out[i] = tanh(out[i] + m.B1.Data[i])
 	}
 }
 
-// StepState implements SequenceModel: stateless — the new state depends only
-// on x.
-func (n *MLPNet) StepState(_, x, stateOut []float64) { n.hiddenOf(x, stateOut) }
-
-// LogitsFromState implements SequenceModel. The returned slice is
-// network-owned scratch, overwritten by the next call on this network.
-func (n *MLPNet) LogitsFromState(state []float64) []float64 {
-	if len(n.scrLogits) != n.NumClasses {
-		n.scrLogits = make([]float64, n.NumClasses)
-	}
-	out := n.scrLogits
-	matVec(n.Wout, state, out)
-	for i := range out {
-		out[i] += n.Bout.Data[i]
-	}
-	return out
+func (m *mlpCell) forward(seq [][]float64) []float64 {
+	m.x = seq[len(seq)-1]
+	m.step(nil, m.x, m.h)
+	return m.h
 }
 
-// PredictFrom implements SequenceModel.
-func (n *MLPNet) PredictFrom(_, x []float64) (int, []float64) {
-	h := make([]float64, n.Hidden)
-	cls := n.PredictInto(nil, x, h)
-	return cls, h
-}
-
-// PredictInto implements SequenceModel: stateless, so statePrev is ignored
-// and stateOut receives the hidden activation of x alone.
-func (n *MLPNet) PredictInto(_, x, stateOut []float64) int {
-	n.hiddenOf(x, stateOut)
-	return Argmax(n.LogitsFromState(stateOut))
-}
-
-// Predict implements SequenceModel: only the last feature vector matters.
-func (n *MLPNet) Predict(seq [][]float64) int {
-	cls, _ := n.PredictFrom(nil, seq[len(seq)-1])
-	return cls
-}
-
-// AccumulateGradients implements SequenceModel.
-func (n *MLPNet) AccumulateGradients(seq [][]float64, label int) float64 {
-	x := seq[len(seq)-1]
-	h := make([]float64, n.Hidden)
-	n.hiddenOf(x, h)
-	logits := n.LogitsFromState(h)
-	loss, dLogits := SoftmaxCrossEntropy(logits, label)
-	outerAddGrad(n.Wout, dLogits, h)
-	addGrad(n.Bout, dLogits)
-	dh := make([]float64, n.Hidden)
-	matTVecAdd(n.Wout, dLogits, dh)
+func (m *mlpCell) backward(dh []float64) {
 	for i := range dh {
-		dh[i] *= 1 - h[i]*h[i] // through tanh
+		dh[i] *= 1 - m.h[i]*m.h[i] // through tanh
 	}
-	outerAddGrad(n.W1, dh, x)
-	addGrad(n.B1, dh)
-	return loss
+	outerAddGrad(m.W1, dh, m.x)
+	addGrad(m.B1, dh)
 }

@@ -1,68 +1,177 @@
 package ml
 
-// SequenceModel is the interface PHFTL's Page Classifier programs against,
-// abstracting the model architecture. The paper settled on a single-layer
-// GRU after "exploring a wide variety of machine learning models" (§III-B);
-// the LSTM and MLP implementations reproduce that design-space exploration
-// (see BenchmarkAblationModelArch).
+import "math/rand"
+
+// Net is PHFTL's Page Classifier network (Figure 3): a per-architecture cell
+// followed by one fully connected layer to NumClasses output neurons; argmax
+// of the logits is the prediction. The paper settled on a single-layer GRU
+// after "exploring a wide variety of machine learning models" (§III-B); the
+// LSTM and MLP cells reproduce that design-space exploration (see
+// BenchmarkAblationModelArch). All three share the head, cloning,
+// quantization, prediction and training code below.
 //
-// A model carries a persistent per-page state of StateSize float64 values
-// (bounded in (−1,1) so it can be cached as int8 in the flash metadata
-// entry). Stateless models report StateSize 0 behaviour by ignoring the
-// state.
-type SequenceModel interface {
-	// InputSize returns the feature-vector width.
-	InputSize() int
-	// StateSize returns the number of persisted state values per page.
-	StateSize() int
-	// NumOutputs returns the number of classes.
-	NumOutputs() int
+// A network carries a persistent per-page state of StateSize float64 values,
+// bounded in (−1,1) so it can be cached as int8 in the flash metadata entry.
+// The head reads the state's first hidden-size values.
+type Net struct {
+	cell       cell
+	wout, bout *Tensor
+	params     []*Tensor // cell tensors in init order, then wout, bout
 
-	// StepState advances the persistent state by one input, writing
-	// StateSize values into stateOut (which may alias statePrev). It must
-	// not heap-allocate in steady state.
-	StepState(statePrev, x, stateOut []float64)
-	// LogitsFromState computes class logits from a state. The returned
-	// slice is model-owned scratch, overwritten by the next call: use it
-	// before the next call, or copy it.
-	LogitsFromState(state []float64) []float64
-	// PredictFrom advances one step from a cached state and returns
-	// (argmax class, new state). It allocates the returned state; the
-	// per-write hot path uses PredictInto instead.
-	PredictFrom(statePrev, x []float64) (int, []float64)
-	// PredictInto advances one step from statePrev, writing the new state
-	// into stateOut (which may alias statePrev), and returns the argmax
-	// class. It must not heap-allocate in steady state — this is the
-	// device-side per-write hot path (§III-C, 9 µs prediction budget).
-	PredictInto(statePrev, x, stateOut []float64) int
-	// Predict runs a whole sequence from the zero state.
-	Predict(seq [][]float64) int
-
-	// AccumulateGradients runs forward + backward for one labeled sequence,
-	// accumulating parameter gradients, and returns the sample loss.
-	AccumulateGradients(seq [][]float64, label int) float64
-
-	// Params exposes the learnable tensors for the optimizer.
-	Params() []*Tensor
-	// ZeroGrad clears accumulated gradients.
-	ZeroGrad()
-	// CloneModel returns an independent deep copy.
-	CloneModel() SequenceModel
-	// QuantizeModel returns a copy with parameters snapped to the int8 grid.
-	QuantizeModel() SequenceModel
-	// ShadowClone returns a gradient shadow of the model: weights are shared
-	// with the receiver (Tensor.Shadow), gradients and scratch are private.
-	// Shadows support concurrent AccumulateGradients against frozen weights;
-	// they must not be trained directly (their Data aliases the original's).
-	ShadowClone() SequenceModel
+	// Per-instance scratch: the logits, the softmax gradient and the
+	// gradient w.r.t. the head input, so steady-state prediction and
+	// training perform zero heap allocations. Not shared across goroutines
+	// — a network is single-owner, like its gradients.
+	logits, probs, dh []float64
 }
 
-// Compile-time conformance.
-var (
-	_ SequenceModel = (*GRUNet)(nil)
-	_ SequenceModel = (*LSTMNet)(nil)
-	_ SequenceModel = (*MLPNet)(nil)
-)
+// cell is one architecture's recurrence under Net's head.
+type cell interface {
+	// params returns the cell's learnable tensors in initialization order.
+	params() []*Tensor
+	// stateSize is the number of persisted state values per page.
+	stateSize() int
+	// step advances the state by one input, writing stateOut (which may
+	// alias statePrev). It must not heap-allocate in steady state.
+	step(statePrev, x, stateOut []float64)
+	// forward runs a sequence from the zero state, keeping the traces
+	// backward needs in a cell-owned arena, and returns the head input of
+	// the final step (also cell-owned).
+	forward(seq [][]float64) []float64
+	// backward backpropagates dh, the gradient w.r.t. forward's result,
+	// through the traces of the last forward, accumulating parameter
+	// gradients. It may overwrite dh.
+	backward(dh []float64)
+	// with returns a copy of the cell whose tensors are f of the receiver's,
+	// with fresh scratch.
+	with(f func(*Tensor) *Tensor) cell
+}
+
+// NumClassesDefault is the binary short-living / long-living output of the
+// paper's classifier.
+const NumClassesDefault = 2
+
+// newNet puts c under a classes×hidden head and Xavier-initializes every
+// parameter in Params order.
+func newNet(c cell, hidden, classes int, rng *rand.Rand) *Net {
+	n := assemble(c, NewTensor(classes, hidden), NewTensor(1, classes))
+	for _, t := range n.params {
+		t.InitXavier(rng)
+	}
+	return n
+}
+
+func assemble(c cell, wout, bout *Tensor) *Net {
+	return &Net{
+		cell: c, wout: wout, bout: bout,
+		params: append(c.params(), wout, bout),
+		logits: make([]float64, wout.Rows),
+		probs:  make([]float64, wout.Rows),
+		dh:     make([]float64, wout.Cols),
+	}
+}
+
+// with returns a network whose tensors are f of the receiver's.
+func (n *Net) with(f func(*Tensor) *Tensor) *Net {
+	return assemble(n.cell.with(f), f(n.wout), f(n.bout))
+}
+
+// Params returns every learnable tensor (for the optimizer).
+func (n *Net) Params() []*Tensor { return n.params }
+
+// ZeroGrad clears all parameter gradients.
+func (n *Net) ZeroGrad() {
+	for _, t := range n.params {
+		t.ZeroGrad()
+	}
+}
+
+// StateSize returns the number of persisted state values per page.
+func (n *Net) StateSize() int { return n.cell.stateSize() }
+
+// CloneModel returns an independent deep copy (gradients zeroed).
+func (n *Net) CloneModel() *Net { return n.with((*Tensor).Clone) }
+
+// ShadowClone returns a gradient shadow of the network: weights are shared
+// with the receiver (Tensor.Shadow), gradients and scratch are private.
+// Shadows support concurrent AccumulateGradients against frozen weights;
+// they must not be trained directly (their Data aliases the original's).
+func (n *Net) ShadowClone() *Net { return n.with((*Tensor).Shadow) }
+
+// QuantizeModel returns a copy with every parameter snapped onto the int8
+// grid. Inference through the returned network is numerically identical to
+// integer inference with dequantize-on-use, so the accuracy delta it exhibits
+// is exactly the deployment quantization loss.
+func (n *Net) QuantizeModel() *Net {
+	return n.with(func(t *Tensor) *Tensor {
+		q := t.Clone()
+		QuantizeTensor(q)
+		return q
+	})
+}
+
+// StepState advances the persistent state by one input, writing StateSize
+// values into stateOut (which may alias statePrev). This is the O(1)
+// incremental prediction path of §III-C: with the state cached per page, a
+// prediction costs exactly one StepState plus one LogitsFromState call,
+// regardless of how long the page's history is.
+func (n *Net) StepState(statePrev, x, stateOut []float64) { n.cell.step(statePrev, x, stateOut) }
+
+// LogitsFromState applies the fully connected output layer to a state. The
+// returned slice is network-owned scratch, overwritten by the next call: use
+// it before the next call, or copy it.
+func (n *Net) LogitsFromState(state []float64) []float64 {
+	out := n.logits
+	matVec(n.wout, state, out)
+	for i := range out {
+		out[i] += n.bout.Data[i]
+	}
+	return out
+}
+
+// PredictInto is the allocation-free incremental prediction: one step from
+// statePrev writing the new state into stateOut (which may alias statePrev),
+// returning the argmax class. This is the device-side per-write hot path
+// (§III-C, 9 µs prediction budget).
+func (n *Net) PredictInto(statePrev, x, stateOut []float64) int {
+	n.cell.step(statePrev, x, stateOut)
+	return Argmax(n.LogitsFromState(stateOut))
+}
+
+// Predict runs a full sequence from the zero state and returns the argmax
+// class of the final step.
+func (n *Net) Predict(seq [][]float64) int {
+	state := make([]float64, n.StateSize())
+	for _, x := range seq {
+		n.cell.step(state, x, state)
+	}
+	return Argmax(n.LogitsFromState(state))
+}
+
+// AccumulateGradients runs forward + backpropagation through time for one
+// labeled sequence, accumulating parameter gradients, and returns the
+// sample loss.
+func (n *Net) AccumulateGradients(seq [][]float64, label int) float64 {
+	h := n.cell.forward(seq)
+	loss, dLogits := SoftmaxCrossEntropyInto(n.LogitsFromState(h), label, n.probs)
+	outerAddGrad(n.wout, dLogits, h)
+	addGrad(n.bout, dLogits)
+	clear(n.dh)
+	matTVecAdd(n.wout, dLogits, n.dh)
+	n.cell.backward(n.dh)
+	return loss
+}
+
+// Argmax returns the index of the largest element.
+func Argmax(v []float64) int {
+	best := 0
+	for i := 1; i < len(v); i++ {
+		if v[i] > v[best] {
+			best = i
+		}
+	}
+	return best
+}
 
 // SyncModel copies src's parameters into dst in place, optionally snapping
 // them onto the int8 grid, and reports whether the models were compatible
@@ -70,7 +179,7 @@ var (
 // numerically identical to src.QuantizeModel() — and SyncModel(dst, src,
 // false) to src.CloneModel() — without allocating a fresh model, which is
 // what keeps PHFTL's per-window deployment off the heap.
-func SyncModel(dst, src SequenceModel, quantize bool) bool {
+func SyncModel(dst, src *Net, quantize bool) bool {
 	dp, sp := dst.Params(), src.Params()
 	if len(dp) != len(sp) {
 		return false
@@ -96,11 +205,11 @@ func SyncModel(dst, src SequenceModel, quantize bool) bool {
 	return true
 }
 
-// TrainModel trains any SequenceModel in place on the samples with Adam and
-// returns the mean loss of the final epoch. The program trains through
+// TrainModel trains a network in place on the samples with Adam and returns
+// the mean loss of the final epoch. The program trains through
 // ShardedTrainer; this single-fold schedule is the reference its tests
 // compare against.
-func TrainModel(m SequenceModel, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
+func TrainModel(m *Net, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -142,7 +251,7 @@ func TrainModel(m SequenceModel, samples []Sample, opt *Adam, cfg TrainConfig) f
 }
 
 // EvalModelAccuracy returns the fraction of samples classified correctly.
-func EvalModelAccuracy(m SequenceModel, samples []Sample) float64 {
+func EvalModelAccuracy(m *Net, samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}

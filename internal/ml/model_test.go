@@ -1,0 +1,286 @@
+package ml
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// cells lists the three architectures behind Net, for the tests that hold
+// for every one of them.
+var cells = []struct {
+	name string
+	make func(in, hidden, classes int, rng *rand.Rand) *Net
+}{
+	{"GRU", NewGRUNet},
+	{"LSTM", NewLSTMNet},
+	{"MLP", NewMLPNet},
+}
+
+func randSeq(rng *rand.Rand, steps, dim int) [][]float64 {
+	seq := make([][]float64, steps)
+	for i := range seq {
+		seq[i] = make([]float64, dim)
+		for j := range seq[i] {
+			seq[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	return seq
+}
+
+// TestGradientCheck verifies each cell's hand-written backpropagation
+// through time, and the shared head's, against central differences on every
+// parameter tensor. This is the load-bearing correctness test for the whole
+// training stack.
+func TestGradientCheck(t *testing.T) {
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			n := tc.make(3, 4, 2, rng)
+			seq := randSeq(rng, 4, 3)
+			const label = 1
+			// A first pass leaves the reused trace arena and backward
+			// buffers dirty, as every sample after the first finds them.
+			n.AccumulateGradients(seq, label)
+			n.ZeroGrad()
+			n.AccumulateGradients(seq, label)
+			probe := n.CloneModel()
+			for ti, tensor := range n.Params() {
+				pt := probe.Params()[ti]
+				for idx := 0; idx < len(tensor.Data); idx += 3 { // every 3rd element
+					const eps = 1e-5
+					orig := pt.Data[idx]
+					pt.Data[idx] = orig + eps
+					plus := probe.AccumulateGradients(seq, label)
+					pt.Data[idx] = orig - eps
+					minus := probe.AccumulateGradients(seq, label)
+					pt.Data[idx] = orig
+					want := (plus - minus) / (2 * eps)
+					got := tensor.Grad[idx]
+					if diff := math.Abs(got - want); diff > 1e-6+1e-4*math.Abs(want) {
+						t.Fatalf("param %d elem %d: analytic %g vs numeric %g (diff %g)", ti, idx, got, want, diff)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalMatchesFullSequence pins the O(1) prediction path (cached
+// state + one PredictInto step) against re-running the whole sequence from
+// the zero state, and the training forward pass against the inference step:
+// forward's head input must equal the incremental state's, bit for bit.
+func TestIncrementalMatchesFullSequence(t *testing.T) {
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			n := tc.make(4, 6, 2, rng)
+			state := make([]float64, n.StateSize())
+			var seq [][]float64
+			for step := 0; step < 10; step++ {
+				x := randSeq(rng, 1, 4)[0]
+				seq = append(seq, x)
+				full := n.Predict(seq)
+				if incr := n.PredictInto(state, x, state); incr != full {
+					t.Fatalf("step %d: full-sequence %d vs incremental %d", step, full, incr)
+				}
+				for i, v := range n.cell.forward(seq) {
+					if math.Float64bits(v) != math.Float64bits(state[i]) {
+						t.Fatalf("step %d: forward h[%d] = %v, step state %v", step, i, v, state[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCloneIsDeep: CloneModel shares no weight or gradient storage.
+func TestCloneIsDeep(t *testing.T) {
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.make(2, 3, 2, rand.New(rand.NewSource(13)))
+			c := n.CloneModel()
+			cp := c.Params()
+			for i, p := range n.Params() {
+				p.Data[0] = 999
+				p.Grad[0] = 999
+				if cp[i].Data[0] == 999 || cp[i].Grad[0] == 999 {
+					t.Fatalf("param %d: clone shares storage", i)
+				}
+			}
+		})
+	}
+}
+
+// TestShadowCloneSharesWeightsPrivatelyGrads pins the Shadow contract the
+// sharded trainer relies on, and SyncModel's refusal to sync from a shadow.
+func TestShadowCloneSharesWeightsPrivatelyGrads(t *testing.T) {
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.make(8, 12, NumClassesDefault, rand.New(rand.NewSource(7)))
+			sh := m.ShadowClone()
+			mp, sp := m.Params(), sh.Params()
+			if len(mp) != len(sp) {
+				t.Fatalf("param count mismatch: %d vs %d", len(mp), len(sp))
+			}
+			for i := range mp {
+				if &mp[i].Data[0] != &sp[i].Data[0] {
+					t.Fatalf("param %d: shadow does not share Data", i)
+				}
+				if &mp[i].Grad[0] == &sp[i].Grad[0] {
+					t.Fatalf("param %d: shadow shares Grad", i)
+				}
+			}
+			if SyncModel(m, sh, true) {
+				t.Fatal("SyncModel must refuse to quantize a model from its own shadow")
+			}
+		})
+	}
+}
+
+// TestQuantizeModelMatchesSync pins SyncModel's contract: syncing into an
+// existing network gives exactly the weights of QuantizeModel (quantize) or
+// CloneModel (not), so PHFTL's in-place deployment equals a fresh one.
+func TestQuantizeModelMatchesSync(t *testing.T) {
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.make(5, 6, 2, rand.New(rand.NewSource(14)))
+			for _, quantize := range []bool{true, false} {
+				want := src.CloneModel()
+				if quantize {
+					want = src.QuantizeModel()
+				}
+				dst := tc.make(5, 6, 2, rand.New(rand.NewSource(15)))
+				if !SyncModel(dst, src, quantize) {
+					t.Fatal("SyncModel refused a same-shape network")
+				}
+				wp := want.Params()
+				for i, p := range dst.Params() {
+					for j, v := range p.Data {
+						if math.Float64bits(v) != math.Float64bits(wp[i].Data[j]) {
+							t.Fatalf("quantize=%v param %d elem %d: sync %v, fresh %v", quantize, i, j, v, wp[i].Data[j])
+						}
+					}
+				}
+			}
+			if SyncModel(tc.make(5, 7, 2, rand.New(rand.NewSource(16))), src, true) {
+				t.Fatal("SyncModel accepted a different hidden size")
+			}
+		})
+	}
+}
+
+// TestModelsLearnSequenceTask compares the three architectures on the
+// sum-over-time task: the recurrent models must learn it; the stateless MLP
+// (which sees only the last step) cannot — reproducing why the paper's
+// design iterations favoured sequence models (§III-B, §V-C).
+func TestModelsLearnSequenceTask(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	makeSample := func() Sample {
+		l := 3 + rng.Intn(5)
+		seq := make([][]float64, l)
+		sum := 0.0
+		for i := range seq {
+			v := rng.Float64()*2 - 1
+			sum += v
+			seq[i] = []float64{v, rng.Float64()}
+		}
+		label := 0
+		if sum > 0 {
+			label = 1
+		}
+		return Sample{Seq: seq, Label: label}
+	}
+	var train, test []Sample
+	for i := 0; i < 500; i++ {
+		train = append(train, makeSample())
+	}
+	for i := 0; i < 200; i++ {
+		test = append(test, makeSample())
+	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 12
+	accOf := func(m *Net) float64 {
+		TrainModel(m, train, NewAdam(0.01), cfg)
+		return EvalModelAccuracy(m, test)
+	}
+	gru := accOf(NewGRUNet(2, 12, 2, rand.New(rand.NewSource(1))))
+	lstm := accOf(NewLSTMNet(2, 12, 2, rand.New(rand.NewSource(2))))
+	mlp := accOf(NewMLPNet(2, 12, 2, rand.New(rand.NewSource(3))))
+	t.Logf("accuracy: gru=%.3f lstm=%.3f mlp=%.3f", gru, lstm, mlp)
+	if gru < 0.85 {
+		t.Errorf("GRU accuracy %.3f < 0.85", gru)
+	}
+	if lstm < 0.80 {
+		t.Errorf("LSTM accuracy %.3f < 0.80", lstm)
+	}
+	if mlp > 0.75 {
+		t.Errorf("stateless MLP accuracy %.3f unexpectedly high on a memory task", mlp)
+	}
+	if mlp > gru || mlp > lstm {
+		t.Error("MLP should not beat the recurrent models on a memory task")
+	}
+}
+
+func TestQuantizeModelVariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, m := range []*Net{
+		NewLSTMNet(4, 6, 2, rng),
+		NewMLPNet(4, 6, 2, rng),
+	} {
+		q := m.QuantizeModel()
+		if q.StateSize() != m.StateSize() || q.Params()[0].Cols != m.Params()[0].Cols {
+			t.Errorf("quantized model changed shape")
+		}
+		// Quantization is idempotent on the grid.
+		for i, tensor := range q.Params() {
+			before := append([]float64(nil), tensor.Data...)
+			QuantizeTensor(q.Params()[i])
+			for j := range before {
+				if math.Abs(before[j]-q.Params()[i].Data[j]) > 1e-9 {
+					t.Fatalf("quantization not idempotent at %d/%d", i, j)
+					break
+				}
+			}
+		}
+	}
+}
+
+func TestGRUStepBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := NewGRUNet(5, 8, 2, rng)
+	h := make([]float64, 8)
+	for step := 0; step < 200; step++ {
+		n.StepState(h, randSeq(rng, 1, 5)[0], h)
+		for i, v := range h {
+			if v <= -1 || v >= 1 || math.IsNaN(v) {
+				t.Fatalf("step %d: h[%d] = %v escaped (-1,1)", step, i, v)
+			}
+		}
+	}
+}
+
+func TestLSTMStateBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	n := NewLSTMNet(5, 8, 2, rng)
+	state := make([]float64, n.StateSize())
+	for step := 0; step < 300; step++ {
+		n.StepState(state, randSeq(rng, 1, 5)[0], state)
+		for i, v := range state {
+			if v <= -1 || v >= 1 || math.IsNaN(v) {
+				t.Fatalf("step %d: state[%d] = %v escaped (-1,1)", step, i, v)
+			}
+		}
+	}
+}
+
+func TestMLPIgnoresHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	n := NewMLPNet(2, 4, 2, rng)
+	last := []float64{0.3, 0.9}
+	a := n.Predict([][]float64{{1, 1}, {0, 0}, last})
+	b := n.Predict([][]float64{last})
+	if a != b {
+		t.Error("MLP prediction depends on history")
+	}
+}

@@ -39,18 +39,6 @@ func QuantizeTensor(t *Tensor) float64 {
 	return scale
 }
 
-// Quantize returns a copy of the network with every parameter snapped onto
-// the int8 grid. Inference through the returned network is numerically
-// identical to integer inference with dequantize-on-use, so the accuracy
-// delta it exhibits is exactly the deployment quantization loss.
-func (n *GRUNet) Quantize() *GRUNet {
-	q := n.Clone()
-	for _, t := range q.Params() {
-		QuantizeTensor(t)
-	}
-	return q
-}
-
 // QuantizeHidden packs a float hidden state into int8 (the 32-byte cached
 // state stored in flash metadata), writing into dst (allocating when dst is
 // nil or too short) and returning it. The hot path passes the metadata

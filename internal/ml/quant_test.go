@@ -67,7 +67,7 @@ func TestQuantizedModelAgreesWithFloat(t *testing.T) {
 	cfg.Epochs = 5
 	TrainModel(n, samples, NewAdam(0.01), cfg)
 
-	q := n.Quantize()
+	q := n.QuantizeModel()
 	agree := 0
 	const trials = 1000
 	for i := 0; i < trials; i++ {

@@ -9,7 +9,7 @@ import (
 // ShardedTrainer is a data-parallel drop-in for TrainModel. Each mini-batch
 // is split into Lanes fixed, index-ordered shards; every shard accumulates
 // gradients into a private shadow of the model (shared weights, private
-// gradients — see SequenceModel.ShadowClone), and the shard gradients are
+// gradients — see Net.ShadowClone), and the shard gradients are
 // then reduced into the master in ascending shard order before the Adam step.
 //
 // Determinism contract: the deployed weights depend only on Lanes, never on
@@ -34,8 +34,8 @@ import (
 type ShardedTrainer struct {
 	lanes   int
 	workers int // goroutines per Train pinned by SetWorkers; 0 derives it
-	master  SequenceModel
-	shadows []SequenceModel
+	master  *Net
+	shadows []*Net
 
 	sh        *shuffler
 	idx       []int // non-empty sample indices of the current epoch, shuffled
@@ -75,12 +75,12 @@ func (t *ShardedTrainer) trainWorkers() int {
 }
 
 // bind (re)builds the per-shard shadows when the master model changes.
-func (t *ShardedTrainer) bind(m SequenceModel) {
+func (t *ShardedTrainer) bind(m *Net) {
 	if t.master == m && len(t.shadows) == t.lanes {
 		return
 	}
 	t.master = m
-	t.shadows = make([]SequenceModel, t.lanes)
+	t.shadows = make([]*Net, t.lanes)
 	for i := range t.shadows {
 		t.shadows[i] = m.ShadowClone()
 	}
@@ -127,7 +127,7 @@ func (t *ShardedTrainer) reduce() float64 {
 // (shuffle per epoch, skip empty sequences, Adam step per BatchSize non-empty
 // samples plus a leftover step) with the shard-parallel gradient accumulation
 // described above. It returns the mean loss of the final epoch.
-func (t *ShardedTrainer) Train(m SequenceModel, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
+func (t *ShardedTrainer) Train(m *Net, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
 	if len(samples) == 0 {
 		return 0
 	}

@@ -26,15 +26,15 @@ func shardedTestSamples(n, dim int, seed int64) []Sample {
 	return samples
 }
 
-func freshGRU(dim int) SequenceModel {
+func freshGRU(dim int) *Net {
 	return NewGRUNet(dim, 12, NumClassesDefault, rand.New(rand.NewSource(7)))
 }
 
-func freshMLP(dim int) SequenceModel {
+func freshMLP(dim int) *Net {
 	return NewMLPNet(dim, 12, NumClassesDefault, rand.New(rand.NewSource(7)))
 }
 
-func weightsBits(m SequenceModel) [][]uint64 {
+func weightsBits(m *Net) [][]uint64 {
 	params := m.Params()
 	out := make([][]uint64, len(params))
 	for i, p := range params {
@@ -80,7 +80,7 @@ func TestShardedTrainerPoolInvariance(t *testing.T) {
 		{1, 4},
 	}
 
-	for name, fresh := range map[string]func(int) SequenceModel{"gru": freshGRU, "mlp": freshMLP} {
+	for name, fresh := range map[string]func(int) *Net{"gru": freshGRU, "mlp": freshMLP} {
 		t.Run(name, func(t *testing.T) {
 			ref := fresh(dim)
 			refTrainer := NewShardedTrainer(4)
@@ -145,27 +145,5 @@ func TestShardedTrainerReuseAcrossWindows(t *testing.T) {
 			t.Fatalf("window %d: reused loss %v != fresh loss %v", w, lossReused, lossFresh)
 		}
 		requireSameWeights(t, weightsBits(mFresh), weightsBits(mReused), "trainer reuse")
-	}
-}
-
-// TestShadowCloneSharesWeightsPrivatelyGrads pins the Shadow contract all of
-// the above relies on.
-func TestShadowCloneSharesWeightsPrivatelyGrads(t *testing.T) {
-	m := freshGRU(8)
-	sh := m.ShadowClone()
-	mp, sp := m.Params(), sh.Params()
-	if len(mp) != len(sp) {
-		t.Fatalf("param count mismatch: %d vs %d", len(mp), len(sp))
-	}
-	for i := range mp {
-		if &mp[i].Data[0] != &sp[i].Data[0] {
-			t.Fatalf("param %d: shadow does not share Data", i)
-		}
-		if &mp[i].Grad[0] == &sp[i].Grad[0] {
-			t.Fatalf("param %d: shadow shares Grad", i)
-		}
-	}
-	if SyncModel(m, sh, true) {
-		t.Fatal("SyncModel must refuse to quantize a model from its own shadow")
 	}
 }

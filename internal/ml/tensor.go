@@ -93,25 +93,11 @@ func matVec(w *Tensor, x, out []float64) {
 	}
 }
 
-// matVecAdd computes out += W*x.
-func matVecAdd(w *Tensor, x, out []float64) {
-	n := w.Cols
-	x = x[:n]
-	out = out[:w.Rows]
-	for r := range out {
-		row := w.Data[r*n : r*n+n]
-		sum := 0.0
-		for c, v := range row {
-			sum += v * x[c]
-		}
-		out[r] += sum
-	}
-}
-
-// matVec2 interleaves two matVec+matVecAdd pairs sharing operand vectors:
-// out1 = w1·x + u1·h and out2 = w2·x + u2·h. Each dot product keeps its own
-// strictly sequential accumulation (bit-identical to running the four kernels
-// separately), but rows are processed in pairs, so the inner loops carry four
+// matVec2 computes two fused pairs sharing operand vectors: out1 = w1·x +
+// u1·h and out2 = w2·x + u2·h. Each dot product keeps its own strictly
+// sequential accumulation, and each output is the sum of its two dot
+// products (bit-identical to a matVec followed by adding the second
+// product), but rows are processed in pairs, so the inner loops carry four
 // independent dependency chains — a serial FP-add chain is latency-bound, and
 // independent chains are the only way to overlap it without reassociating.
 // All four matrices are m×n over x and m×k over h.
@@ -170,11 +156,9 @@ func matVec2(w1, w2, u1, u2 *Tensor, x, h, out1, out2 []float64) {
 	}
 }
 
-// matVecPair computes out = w·x + u·h (one matVec + matVecAdd fused per
-// row, without the intermediate store/reload of out[r]); each dot product
-// keeps its sequential order, so the result is bit-identical to the two
-// separate calls. Rows are paired for two independent accumulation chains
-// per inner loop (see matVec2).
+// matVecPair computes out = w·x + u·h, the single-pair form of matVec2;
+// each dot product keeps its sequential order. Rows are paired for two
+// independent accumulation chains per inner loop (see matVec2).
 func matVecPair(w, u *Tensor, x, h, out []float64) {
 	rows, n, k := w.Rows, w.Cols, u.Cols
 	x = x[:n]
@@ -328,3 +312,12 @@ func addGrad(b *Tensor, g []float64) {
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
+func tanh(v float64) float64 { return math.Tanh(v) }
+
+// vecs points each of bufs at a fresh zero vector of length n.
+func vecs(n int, bufs ...*[]float64) {
+	for _, b := range bufs {
+		*b = make([]float64, n)
+	}
+}

@@ -52,15 +52,10 @@ func (a *Adam) Update(params []*Tensor, batch int) {
 	}
 }
 
-// SoftmaxCrossEntropy returns the loss and the gradient w.r.t. the logits
-// for a single sample with integer label.
-func SoftmaxCrossEntropy(logits []float64, label int) (float64, []float64) {
-	return SoftmaxCrossEntropyInto(logits, label, make([]float64, len(logits)))
-}
-
-// SoftmaxCrossEntropyInto is the allocation-free form of SoftmaxCrossEntropy:
-// probs is caller-owned scratch of len(logits), overwritten with the gradient
-// (which is also returned). Numerically identical to SoftmaxCrossEntropy.
+// SoftmaxCrossEntropyInto returns the loss and the gradient w.r.t. the
+// logits for a single sample with integer label. probs is caller-owned
+// scratch of len(logits), overwritten with the gradient (which is also
+// returned), so training does not allocate per sample.
 func SoftmaxCrossEntropyInto(logits []float64, label int, probs []float64) (float64, []float64) {
 	maxL := logits[0]
 	for _, v := range logits[1:] {
@@ -102,27 +97,21 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: 1}
 }
 
-// ResampleBalanced returns a class-balanced subset of samples (paper,
-// Algorithm 1: "label and resample to a small, balanced training set"),
-// undersampling the majority class, capped at maxPerClass per class.
-// The selection is deterministic for a given seed.
-func ResampleBalanced(samples []Sample, maxPerClass int, seed int64) []Sample {
-	return new(ResampleScratch).Resample(samples, maxPerClass, seed)
-}
-
-// ResampleScratch holds the reusable buffers (and reseedable RNG) behind
-// ResampleBalanced, so a caller that resamples every window — PHFTL's
-// endWindow — stops paying ~5 KB of rand.Rand plus three slices per call.
-// The zero value is ready to use; results are bit-identical to
-// ResampleBalanced for the same (samples, maxPerClass, seed).
+// ResampleScratch draws class-balanced subsets of samples (paper, Algorithm
+// 1: "label and resample to a small, balanced training set"). It keeps its
+// buffers and a reseedable RNG, so a caller that resamples every window —
+// PHFTL's endWindow — does not pay ~5 KB of rand.Rand plus three slices per
+// call. The zero value is ready to use.
 type ResampleScratch struct {
 	rng      *rand.Rand
 	pos, neg []int
 	out      []Sample
 }
 
-// Resample is ResampleBalanced against pooled scratch. The returned slice
-// aliases the scratch and is overwritten by the next call.
+// Resample undersamples the majority class to the minority's size, capped
+// at maxPerClass per class when positive. The selection is deterministic for
+// a given seed. The returned slice aliases the scratch and is overwritten by
+// the next call.
 func (rs *ResampleScratch) Resample(samples []Sample, maxPerClass int, seed int64) []Sample {
 	pos, neg := rs.pos[:0], rs.neg[:0]
 	for i, s := range samples {
