@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/phftl/phftl/internal/obs/httpd"
+	"github.com/phftl/phftl/internal/obs/registry"
 )
 
 // httpPoller drains a -listen telemetry server (wabench/perfbench/phftlsim)
@@ -53,7 +54,7 @@ func (p *httpPoller) get(path string) (*http.Response, error) {
 // pickCell selects which cell the dashboard follows: the -run match when a
 // filter is set, else the first running cell, else the first cell that has
 // replayed anything, else the first registered.
-func pickCell(cells []httpd.CellJSON, run string) *httpd.CellJSON {
+func pickCell(cells []registry.CellJSON, run string) *registry.CellJSON {
 	if len(cells) == 0 {
 		return nil
 	}
@@ -84,7 +85,7 @@ func (p *httpPoller) poll(m *model) error {
 	if err != nil {
 		return err
 	}
-	var doc httpd.CellsJSON
+	var doc registry.CellsJSON
 	err = json.NewDecoder(resp.Body).Decode(&doc)
 	resp.Body.Close()
 	if err != nil {

@@ -133,7 +133,7 @@ func TestHTTPPollerTruncatedBodyKeepsCursor(t *testing.T) {
 // TestPickCell pins the follow heuristic: -run filter wins, then the first
 // running cell, then the first with progress, then the first registered.
 func TestPickCell(t *testing.T) {
-	cells := []httpd.CellJSON{
+	cells := []registry.CellJSON{
 		{Cell: "a", State: "queued"},
 		{Cell: "b", State: "queued", Ops: 10},
 		{Cell: "c", State: "running"},

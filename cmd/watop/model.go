@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/phftl/phftl/internal/obs/httpd"
+	"github.com/phftl/phftl/internal/obs/registry"
 	"github.com/phftl/phftl/internal/timeseries"
 )
 
@@ -144,7 +145,7 @@ func (m *model) apply(l line) {
 
 // distCells renders one WA distribution as " p50/p90/p99/max (n)", or " -"
 // when the distribution is empty (quantiles omitted on the wire).
-func distCells(d httpd.DistJSON) string {
+func distCells(d registry.DistJSON) string {
 	if d.Count == 0 || d.P50 == nil || d.P90 == nil || d.P99 == nil || d.Max == nil {
 		return " -"
 	}

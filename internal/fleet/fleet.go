@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -183,6 +184,10 @@ func (s *Supervisor) SubmitCell(spec httpd.CellSpec) (string, error) {
 		return "", fmt.Errorf("fleet: op ratio %g out of range [0, 0.5)", spec.OP)
 	}
 	p := profiles[0]
+	if spec.DriveWrites > math.MaxInt/p.ExportedPages {
+		return "", fmt.Errorf("fleet: drive_writes %d overflows the page target of %s (%d pages per drive write)",
+			spec.DriveWrites, spec.Trace, p.ExportedPages)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -61,6 +61,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Trace: "#52,#144", Scheme: "PHFTL"},
 		{Trace: "#52", Scheme: "Base,PHFTL"},
 		{Trace: "#52", Scheme: "PHFTL", DriveWrites: -1},
+		{Trace: "#52", Scheme: "PHFTL", DriveWrites: 1e15}, // page target overflows
 		{Trace: "#52", Scheme: "PHFTL", OP: -0.1},
 		{Trace: "#52", Scheme: "PHFTL", OP: 0.6},
 	}

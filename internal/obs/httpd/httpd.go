@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -99,106 +98,18 @@ type StatusJSON struct {
 	EventsDropped uint64         `json:"events_dropped"`
 }
 
-// CellJSON is one element of the /api/v1/cells document. Gauge fields are
-// pointers: a nil field means the gauge is not applicable (or not yet
-// observed), mirroring the NaN convention of the JSONL sink.
-type CellJSON struct {
-	Cell      string  `json:"cell"`
-	Trace     string  `json:"trace"`
-	Scheme    string  `json:"scheme"`
-	State     string  `json:"state"`
-	Ops       uint64  `json:"ops"`
-	TargetOps uint64  `json:"target_ops,omitempty"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-
-	UserWrites uint64 `json:"user_writes"`
-	GCWrites   uint64 `json:"gc_writes"`
-	MetaWrites uint64 `json:"meta_writes"`
-	GCPasses   uint64 `json:"gc_passes"`
-
-	IntervalWA *float64 `json:"interval_wa,omitempty"`
-	CumWA      *float64 `json:"cum_wa,omitempty"`
-	Threshold  *float64 `json:"threshold,omitempty"`
-	CacheHit   *float64 `json:"cache_hit,omitempty"`
-	WearSkew   *float64 `json:"wear_skew,omitempty"`
-	WearCoV    *float64 `json:"wear_cov,omitempty"`
-	FreeSB     *float64 `json:"free_sb,omitempty"`
-
-	Events map[string]uint64 `json:"events,omitempty"`
-}
-
-// CellsJSON is the /api/v1/cells document.
-type CellsJSON struct {
-	Cells []CellJSON `json:"cells"`
-}
-
-func optFloat(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
-// cellJSON shapes one registry snapshot for the wire.
-func cellJSON(s registry.CellSnapshot) CellJSON {
-	return CellJSON{
-		Cell:       s.Name,
-		Trace:      s.Trace,
-		Scheme:     s.Scheme,
-		State:      s.State.String(),
-		Ops:        s.Ops,
-		TargetOps:  s.TargetOps,
-		OpsPerSec:  s.OpsPerSec,
-		UserWrites: s.UserWrites,
-		GCWrites:   s.GCWrites,
-		MetaWrites: s.MetaWrites,
-		GCPasses:   s.GCPasses,
-		IntervalWA: optFloat(s.IntervalWA),
-		CumWA:      optFloat(s.CumWA),
-		Threshold:  optFloat(s.Threshold),
-		CacheHit:   optFloat(s.CacheHit),
-		WearSkew:   optFloat(s.WearSkew),
-		WearCoV:    optFloat(s.WearCoV),
-		FreeSB:     optFloat(s.FreeSB),
-		Events:     s.Events,
-	}
-}
-
-// DistJSON is one WA distribution in the /api/v1/fleet document. Quantile
-// fields are omitted (never null) when the distribution is empty.
-type DistJSON struct {
-	Count uint64   `json:"count"`
-	P50   *float64 `json:"p50,omitempty"`
-	P90   *float64 `json:"p90,omitempty"`
-	P99   *float64 `json:"p99,omitempty"`
-	Max   *float64 `json:"max,omitempty"`
-}
-
-func distJSON(d registry.WADist) DistJSON {
-	return DistJSON{
-		Count: d.Count,
-		P50:   optFloat(d.P50),
-		P90:   optFloat(d.P90),
-		P99:   optFloat(d.P99),
-		Max:   optFloat(d.Max),
-	}
-}
-
-// FleetSchemeJSON is one scheme's WA distributions in /api/v1/fleet.
-type FleetSchemeJSON struct {
-	Scheme     string   `json:"scheme"`
-	IntervalWA DistJSON `json:"interval_wa"`
-	FinalWA    DistJSON `json:"final_wa"`
-}
+// CellsJSON is the /api/v1/cells document, registry.CellsJSON under the
+// name the benchmark harness decodes into.
+type CellsJSON = registry.CellsJSON
 
 // FleetJSON is the /api/v1/fleet document: fleet-wide WA tail percentiles,
 // the aggregation a thousand-drive service exists to serve.
 type FleetJSON struct {
-	UptimeSec  float64           `json:"uptime_sec"`
-	Cells      map[string]int    `json:"cells"` // state name -> count
-	OpsPerSec  float64           `json:"ops_per_sec"`
-	IntervalWA DistJSON          `json:"interval_wa"` // all cells, all schemes
-	Schemes    []FleetSchemeJSON `json:"schemes"`
+	UptimeSec  float64                    `json:"uptime_sec"`
+	Cells      map[string]int             `json:"cells"` // state name -> count
+	OpsPerSec  float64                    `json:"ops_per_sec"`
+	IntervalWA registry.DistJSON          `json:"interval_wa"` // all cells, all schemes
+	Schemes    []registry.FleetSchemeJSON `json:"schemes"`
 }
 
 // Handler builds the telemetry mux over a registry (no control plane: the
@@ -255,16 +166,7 @@ func HandlerWith(reg *registry.Registry, ctrl Controller) http.Handler {
 		for s := 0; s < registry.NumStates; s++ {
 			doc.Cells[registry.State(s).String()] = t.Cells[s]
 		}
-		all, schemes := reg.FleetWA()
-		doc.IntervalWA = distJSON(all)
-		doc.Schemes = make([]FleetSchemeJSON, 0, len(schemes))
-		for _, s := range schemes {
-			doc.Schemes = append(doc.Schemes, FleetSchemeJSON{
-				Scheme:     s.Scheme,
-				IntervalWA: distJSON(s.IntervalWA),
-				FinalWA:    distJSON(s.FinalWA),
-			})
-		}
+		doc.IntervalWA, doc.Schemes = reg.FleetWA()
 		writeJSON(w, doc)
 	})
 	mux.HandleFunc("POST /api/v1/cells", func(w http.ResponseWriter, r *http.Request) {
@@ -304,12 +206,7 @@ func HandlerWith(reg *registry.Registry, ctrl Controller) http.Handler {
 		writeJSON(w, SubmitJSON{Cell: name, State: registry.StateCancelled.String()})
 	})
 	mux.HandleFunc("/api/v1/cells", func(w http.ResponseWriter, r *http.Request) {
-		snaps := reg.Snapshot()
-		doc := CellsJSON{Cells: make([]CellJSON, 0, len(snaps))}
-		for _, s := range snaps {
-			doc.Cells = append(doc.Cells, cellJSON(s))
-		}
-		writeJSON(w, doc)
+		writeJSON(w, reg.Snapshot())
 	})
 	mux.HandleFunc("/api/v1/events", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()

@@ -1,6 +1,9 @@
 package registry
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,32 +68,57 @@ type FTLTotals struct {
 	UserWrites, GCWrites, MetaWrites uint64
 }
 
-// Cell is one (trace, scheme) replay's live metric set. All handles are
-// resolved at OpenCell time, so the per-event and per-sample producers run
+// Indices of Cell.totals: cumulative counts published by the sampler, which
+// only ever move forwards.
+const (
+	tOps = iota
+	tUserWrites
+	tGCWrites
+	tMetaWrites
+	numTotals
+)
+
+// Indices of Cell.gauges.
+const (
+	gIntervalWA = iota
+	gCumWA
+	gThreshold
+	gCacheHit
+	gWearSkew
+	gWearCoV
+	gFreeSB
+	gState
+	numGauges
+)
+
+// gauge is an atomic float64. NaN marks "no observation yet / not
+// applicable" (the same convention as obs.Sample); the exposition and the
+// JSON documents skip NaN gauges instead of serving a fake zero.
+type gauge struct{ bits atomic.Uint64 }
+
+func (g *gauge) set(v float64)  { g.bits.Store(math.Float64bits(v)) }
+func (g *gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// Cell is one (trace, scheme) replay's live metric set: plain atomic fields
+// set up by OpenCell, so the per-event and per-sample producers run
 // allocation-free on pure atomics (plus one uncontended mutex for the event
 // ring and histograms). Cell implements obs.Recorder; internal/sim tees the
 // instrumented packages' recorder into it.
 type Cell struct {
-	name string
-	meta CellMeta
-	reg  *Registry
+	name  string
+	label string // cell="<escaped name>", the exposition label pair
+	meta  CellMeta
+	reg   *Registry
 
 	state   atomic.Int32
 	startNS atomic.Int64 // unix ns of the queued→running transition
 	doneNS  atomic.Int64 // unix ns of the terminal transition
 
-	events [obs.NumKinds]*Counter
+	events [obs.NumKinds]atomic.Uint64
+	totals [numTotals]atomic.Uint64
+	gauges [numGauges]gauge
 
-	ops, userWrites, gcWrites, metaWrites *Counter
-
-	intervalWA, cumWA, threshold, cacheHit *Gauge
-	wearSkew, wearCoV, freeSB, stateG      *Gauge
-
-	// Per-scheme cross-cell WA distributions (shared handles: every cell of
-	// one scheme observes into the same pair). schemeIntervalWA is fed per
-	// sample, schemeFinalWA once per completed run (PublishFinalWA); together
-	// they back the /api/v1/fleet percentiles.
-	schemeIntervalWA, schemeFinalWA *Histogram
+	scheme *schemeHists // shared by every cell of the scheme
 }
 
 // OpenCell registers (or returns the existing) cell under name, in state
@@ -98,63 +126,19 @@ type Cell struct {
 // pre-register the fleet and the harness can re-open for the handle.
 func (r *Registry) OpenCell(name string, meta CellMeta) *Cell {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if c, ok := r.cells[name]; ok {
-		r.mu.Unlock()
 		return c
 	}
-	r.mu.Unlock() // metric registration below re-enters r.mu
-
-	c := &Cell{name: name, meta: meta, reg: r}
-	cl := Label{"cell", name}
-	for k := range c.events {
-		kind := "unknown"
-		if k > 0 {
-			kind = obs.Kind(k).String()
-		}
-		c.events[k] = r.Counter("phftl_cell_events_total",
-			"Trace events recorded per cell and kind (exact, including ring-thinned events).",
-			cl, Label{"kind", kind})
+	c := &Cell{name: name, label: labelPair("cell", name), meta: meta, reg: r, scheme: r.schemeFor(meta.Scheme)}
+	for i := range c.gauges {
+		c.gauges[i].set(math.NaN())
 	}
-	c.ops = r.Counter("phftl_cell_ops_total",
-		"User page writes replayed into the cell (the FTL virtual clock).", cl)
-	c.userWrites = r.Counter("phftl_cell_user_writes_total",
-		"User page programs issued by the cell's FTL.", cl)
-	c.gcWrites = r.Counter("phftl_cell_gc_writes_total",
-		"GC page migrations issued by the cell's FTL.", cl)
-	c.metaWrites = r.Counter("phftl_cell_meta_writes_total",
-		"Metadata page programs issued by the cell's FTL (PHFTL only).", cl)
-	c.intervalWA = r.Gauge("phftl_cell_interval_wa",
-		"Write amplification over the last sampling interval.", cl)
-	c.cumWA = r.Gauge("phftl_cell_cum_wa",
-		"Cumulative write amplification since the start of the cell.", cl)
-	c.threshold = r.Gauge("phftl_cell_threshold",
-		"PHFTL classification threshold in page-writes (absent for baselines).", cl)
-	c.cacheHit = r.Gauge("phftl_cell_cache_hit_ratio",
-		"Cumulative metadata-cache hit ratio (absent for schemes without a metadata store).", cl)
-	c.wearSkew = r.Gauge("phftl_cell_wear_skew",
-		"Max/mean per-block erase-count ratio (1.0 = perfectly even).", cl)
-	c.wearCoV = r.Gauge("phftl_cell_wear_cov",
-		"Coefficient of variation of per-block erase counts.", cl)
-	c.freeSB = r.Gauge("phftl_cell_free_superblocks",
-		"Current free-superblock count.", cl)
-	c.stateG = r.Gauge("phftl_cell_state",
-		"Cell lifecycle state: 0 queued, 1 running, 2 done, 3 failed, 4 cancelled.", cl)
-	c.stateG.Set(float64(StateQueued))
-	sl := Label{"scheme", meta.Scheme}
-	c.schemeIntervalWA = r.Histogram("phftl_scheme_interval_wa",
-		"Per-sample interval write amplification across cells, by scheme.",
-		60, 0.05, sl)
-	c.schemeFinalWA = r.Histogram("phftl_scheme_final_wa",
-		"End-of-run write amplification of completed cells, by scheme.",
-		60, 0.05, sl)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.cells[name]; ok {
-		return existing // lost a registration race; metrics are shared anyway
-	}
+	c.gauges[gState].set(float64(StateQueued))
 	r.cells[name] = c
 	r.order = append(r.order, c)
+	i, _ := slices.BinarySearchFunc(r.sorted, c.label, func(c *Cell, l string) int { return strings.Compare(c.label, l) })
+	r.sorted = slices.Insert(r.sorted, i, c)
 	return c
 }
 
@@ -165,12 +149,6 @@ func (r *Registry) Cell(name string) *Cell {
 	return r.cells[name]
 }
 
-// Name returns the cell's registered name (the run tag).
-func (c *Cell) Name() string { return c.name }
-
-// Meta returns the cell's identity.
-func (c *Cell) Meta() CellMeta { return c.meta }
-
 // State returns the current lifecycle state.
 func (c *Cell) State() State { return State(c.state.Load()) }
 
@@ -179,7 +157,7 @@ func (c *Cell) State() State { return State(c.state.Load()) }
 // time (both feed ops/sec and ETA).
 func (c *Cell) SetState(s State) {
 	c.state.Store(int32(s))
-	c.stateG.Set(float64(s))
+	c.gauges[gState].set(float64(s))
 	now := time.Now().UnixNano()
 	switch s {
 	case StateQueued:
@@ -200,9 +178,9 @@ func (c *Cell) Record(ev obs.Event) {
 	if k >= obs.NumKinds {
 		k = 0
 	}
-	seen := c.events[k].Inc()
+	seen := c.events[k].Add(1)
 	if ev.Kind == obs.KindGCStart {
-		c.reg.gcValidRatio.Observe(ev.F0)
+		c.reg.fleet[hGCValidRatio].Observe(ev.F0)
 	}
 	if every := obs.HotSampleEvery(ev.Kind); every > 1 && (seen-1)%every != 0 {
 		return
@@ -210,36 +188,45 @@ func (c *Cell) Record(ev obs.Event) {
 	c.reg.ring.store(c.name, ev)
 }
 
-// PublishSample folds one sampler snapshot into the cell's gauges and
-// cumulative counters. NaN gauge fields keep their "not applicable"
-// meaning (exposition and snapshots skip them). Allocation-free.
-func (c *Cell) PublishSample(s obs.Sample, t FTLTotals) {
-	c.ops.SetTotal(s.Clock)
-	c.userWrites.SetTotal(t.UserWrites)
-	c.gcWrites.SetTotal(t.GCWrites)
-	c.metaWrites.SetTotal(t.MetaWrites)
-	c.intervalWA.Set(s.IntervalWA)
-	c.cumWA.Set(s.CumWA)
-	c.freeSB.Set(float64(s.FreeSB))
-	c.cacheHit.Set(s.CacheHitRatio)
-	c.wearSkew.Set(s.WearSkew)
-	c.wearCoV.Set(s.WearCoV)
-	if s.Threshold > 0 {
-		c.threshold.Set(s.Threshold)
+// raise publishes an externally maintained cumulative total (e.g. the FTL's
+// user-page-write count). A stale store from a lagging writer is dropped
+// rather than winding the total backwards.
+func raise(t *atomic.Uint64, v uint64) {
+	for {
+		cur := t.Load()
+		if v <= cur || t.CompareAndSwap(cur, v) {
+			return
+		}
 	}
-	c.reg.sampleIntervalWA.Observe(s.IntervalWA)
-	c.schemeIntervalWA.Observe(s.IntervalWA)
+}
+
+// PublishSample folds one sampler snapshot into the cell's gauges and
+// cumulative totals. NaN gauge fields keep their "not applicable" meaning
+// (the exposition and the JSON documents skip them). Allocation-free.
+func (c *Cell) PublishSample(s obs.Sample, t FTLTotals) {
+	raise(&c.totals[tOps], s.Clock)
+	raise(&c.totals[tUserWrites], t.UserWrites)
+	raise(&c.totals[tGCWrites], t.GCWrites)
+	raise(&c.totals[tMetaWrites], t.MetaWrites)
+	c.gauges[gIntervalWA].set(s.IntervalWA)
+	c.gauges[gCumWA].set(s.CumWA)
+	c.gauges[gFreeSB].set(float64(s.FreeSB))
+	c.gauges[gCacheHit].set(s.CacheHitRatio)
+	c.gauges[gWearSkew].set(s.WearSkew)
+	c.gauges[gWearCoV].set(s.WearCoV)
+	if s.Threshold > 0 {
+		c.gauges[gThreshold].set(s.Threshold)
+	}
+	c.reg.fleet[hSampleIntervalWA].Observe(s.IntervalWA)
+	c.scheme.h[hIntervalWA].Observe(s.IntervalWA)
 }
 
 // PublishFinalWA records a completed run's end-of-run write amplification
 // into the per-scheme fleet distribution (served by /api/v1/fleet). Call once
 // per successful cell completion; NaN is dropped like every histogram input.
 func (c *Cell) PublishFinalWA(wa float64) {
-	c.schemeFinalWA.Observe(wa)
+	c.scheme.h[hFinalWA].Observe(wa)
 }
-
-// Ops returns the cell's current replayed-op total.
-func (c *Cell) Ops() uint64 { return c.ops.Value() }
 
 // elapsedSec returns the running (or final) wall duration in seconds, 0
 // before the cell started.
@@ -255,76 +242,78 @@ func (c *Cell) elapsedSec(now time.Time) float64 {
 	return float64(end-start) / 1e9
 }
 
-// OpsPerSec returns the cell's average replay rate over its lifetime so
-// far, 0 before it started.
-func (c *Cell) OpsPerSec() float64 {
-	sec := c.elapsedSec(time.Now())
-	if sec <= 0 {
-		return 0
-	}
-	return float64(c.Ops()) / sec
+// CellJSON is one element of the /api/v1/cells document. Gauge fields are
+// pointers: a nil field means the gauge is not applicable (or not yet
+// observed), mirroring the NaN convention of the JSONL sink.
+type CellJSON struct {
+	Cell      string  `json:"cell"`
+	Trace     string  `json:"trace"`
+	Scheme    string  `json:"scheme"`
+	State     string  `json:"state"`
+	Ops       uint64  `json:"ops"`
+	TargetOps uint64  `json:"target_ops,omitempty"`
+	OpsPerSec float64 `json:"ops_per_sec"`
+
+	UserWrites uint64 `json:"user_writes"`
+	GCWrites   uint64 `json:"gc_writes"`
+	MetaWrites uint64 `json:"meta_writes"`
+	GCPasses   uint64 `json:"gc_passes"`
+
+	IntervalWA *float64 `json:"interval_wa,omitempty"`
+	CumWA      *float64 `json:"cum_wa,omitempty"`
+	Threshold  *float64 `json:"threshold,omitempty"`
+	CacheHit   *float64 `json:"cache_hit,omitempty"`
+	WearSkew   *float64 `json:"wear_skew,omitempty"`
+	WearCoV    *float64 `json:"wear_cov,omitempty"`
+	FreeSB     *float64 `json:"free_sb,omitempty"`
+
+	Events map[string]uint64 `json:"events,omitempty"` // kind name -> exact count, zero kinds omitted
 }
 
-// CellSnapshot is one cell's point-in-time view, the source of the
-// /api/v1/cells JSON. Gauge fields are NaN when not applicable / not yet
-// observed.
-type CellSnapshot struct {
-	Name      string
-	Trace     string
-	Scheme    string
-	State     State
-	TargetOps uint64
-	Ops       uint64
-	OpsPerSec float64
-
-	UserWrites, GCWrites, MetaWrites uint64
-	GCPasses                         uint64
-
-	IntervalWA, CumWA, Threshold, CacheHit float64
-	WearSkew, WearCoV, FreeSB              float64
-
-	Events map[string]uint64 // kind name -> exact count, zero kinds omitted
+// CellsJSON is the /api/v1/cells document.
+type CellsJSON struct {
+	Cells []CellJSON `json:"cells"`
 }
 
 // Snapshot returns every cell's current state in registration order.
-func (r *Registry) Snapshot() []CellSnapshot {
+func (r *Registry) Snapshot() CellsJSON {
 	r.mu.Lock()
 	cells := append([]*Cell(nil), r.order...)
 	r.mu.Unlock()
 	now := time.Now()
-	out := make([]CellSnapshot, 0, len(cells))
+	doc := CellsJSON{Cells: make([]CellJSON, 0, len(cells))}
 	for _, c := range cells {
-		s := CellSnapshot{
-			Name:       c.name,
+		s := CellJSON{
+			Cell:       c.name,
 			Trace:      c.meta.Trace,
 			Scheme:     c.meta.Scheme,
-			State:      c.State(),
+			State:      c.State().String(),
+			Ops:        c.totals[tOps].Load(),
 			TargetOps:  c.meta.TargetOps,
-			Ops:        c.Ops(),
-			UserWrites: c.userWrites.Value(),
-			GCWrites:   c.gcWrites.Value(),
-			MetaWrites: c.metaWrites.Value(),
-			GCPasses:   c.events[obs.KindGCEnd].Value(),
-			IntervalWA: c.intervalWA.Value(),
-			CumWA:      c.cumWA.Value(),
-			Threshold:  c.threshold.Value(),
-			CacheHit:   c.cacheHit.Value(),
-			WearSkew:   c.wearSkew.Value(),
-			WearCoV:    c.wearCoV.Value(),
-			FreeSB:     c.freeSB.Value(),
+			UserWrites: c.totals[tUserWrites].Load(),
+			GCWrites:   c.totals[tGCWrites].Load(),
+			MetaWrites: c.totals[tMetaWrites].Load(),
+			GCPasses:   c.events[obs.KindGCEnd].Load(),
+			IntervalWA: opt(c.gauges[gIntervalWA].value()),
+			CumWA:      opt(c.gauges[gCumWA].value()),
+			Threshold:  opt(c.gauges[gThreshold].value()),
+			CacheHit:   opt(c.gauges[gCacheHit].value()),
+			WearSkew:   opt(c.gauges[gWearSkew].value()),
+			WearCoV:    opt(c.gauges[gWearCoV].value()),
+			FreeSB:     opt(c.gauges[gFreeSB].value()),
 			Events:     make(map[string]uint64),
 		}
 		if sec := c.elapsedSec(now); sec > 0 {
 			s.OpsPerSec = float64(s.Ops) / sec
 		}
 		for k := 1; k < obs.NumKinds; k++ {
-			if n := c.events[k].Value(); n > 0 {
+			if n := c.events[k].Load(); n > 0 {
 				s.Events[obs.Kind(k).String()] = n
 			}
 		}
-		out = append(out, s)
+		doc.Cells = append(doc.Cells, s)
 	}
-	return out
+	return doc
 }
 
 // Totals aggregates the fleet for the status endpoint and the runner's
@@ -343,13 +332,13 @@ func (r *Registry) Totals() Totals {
 	r.mu.Unlock()
 	var t Totals
 	for _, c := range cells {
-		t.Ops += c.Ops()
+		t.Ops += c.totals[tOps].Load()
 		t.TargetOps += c.meta.TargetOps
 		if s := int(c.State()); s >= 0 && s < NumStates {
 			t.Cells[s]++
 		}
 		for k := range c.events {
-			t.Events += c.events[k].Value()
+			t.Events += c.events[k].Load()
 		}
 	}
 	return t

@@ -36,15 +36,15 @@ func TestCellPublishAndSnapshot(t *testing.T) {
 	c.Record(obs.Event{Kind: obs.KindGCEnd, Clock: 9})
 	c.PublishSample(testSample(500), FTLTotals{UserWrites: 500, GCWrites: 100, MetaWrites: 20})
 
-	snaps := r.Snapshot()
+	snaps := r.Snapshot().Cells
 	if len(snaps) != 1 {
 		t.Fatalf("Snapshot len = %d", len(snaps))
 	}
 	s := snaps[0]
-	if s.Name != "#52/PHFTL" || s.Trace != "#52" || s.Scheme != "PHFTL" {
+	if s.Cell != "#52/PHFTL" || s.Trace != "#52" || s.Scheme != "PHFTL" {
 		t.Fatalf("identity wrong: %+v", s)
 	}
-	if s.State != StateRunning || s.Ops != 500 || s.TargetOps != 1000 {
+	if s.State != "running" || s.Ops != 500 || s.TargetOps != 1000 {
 		t.Fatalf("state/ops wrong: %+v", s)
 	}
 	if s.UserWrites != 500 || s.GCWrites != 100 || s.MetaWrites != 20 {
@@ -53,8 +53,14 @@ func TestCellPublishAndSnapshot(t *testing.T) {
 	if s.GCPasses != 2 {
 		t.Fatalf("GCPasses = %d, want 2", s.GCPasses)
 	}
-	if s.IntervalWA != 0.2 || s.CumWA != 0.3 || s.Threshold != 900 || s.CacheHit != 0.75 {
-		t.Fatalf("gauges wrong: %+v", s)
+	for _, g := range []struct {
+		name string
+		got  *float64
+		want float64
+	}{{"interval_wa", s.IntervalWA, 0.2}, {"cum_wa", s.CumWA, 0.3}, {"threshold", s.Threshold, 900}, {"cache_hit", s.CacheHit, 0.75}} {
+		if g.got == nil || *g.got != g.want {
+			t.Fatalf("%s = %v, want %v", g.name, g.got, g.want)
+		}
 	}
 	if s.Events["gc_start"] != 1 || s.Events["gc_end"] != 2 {
 		t.Fatalf("event counts wrong: %v", s.Events)
@@ -80,12 +86,12 @@ func TestCellNaNGaugesSkipped(t *testing.T) {
 	s.CacheHitRatio = math.NaN()
 	s.Threshold = 0
 	c.PublishSample(s, FTLTotals{UserWrites: 10})
-	snap := r.Snapshot()[0]
-	if !math.IsNaN(snap.CacheHit) {
-		t.Fatalf("CacheHit = %v, want NaN", snap.CacheHit)
+	snap := r.Snapshot().Cells[0]
+	if snap.CacheHit != nil {
+		t.Fatalf("CacheHit = %v, want omitted", *snap.CacheHit)
 	}
-	if !math.IsNaN(snap.Threshold) {
-		t.Fatalf("Threshold = %v, want NaN (never set)", snap.Threshold)
+	if snap.Threshold != nil {
+		t.Fatalf("Threshold = %v, want omitted (never set)", *snap.Threshold)
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -105,7 +111,7 @@ func TestOpenCellIdempotent(t *testing.T) {
 	if a != b {
 		t.Fatal("OpenCell returned distinct cells for one name")
 	}
-	if got := a.Meta(); got.Trace != "t" || got.TargetOps != 5 {
+	if got := r.Snapshot().Cells; len(got) != 1 || got[0].Trace != "t" || got[0].TargetOps != 5 {
 		t.Fatalf("meta overwritten: %+v", got)
 	}
 	if r.Cell("x") != a || r.Cell("missing") != nil {
@@ -219,7 +225,7 @@ func TestHotKindThinning(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Record(obs.Event{Kind: obs.KindMetaCacheHit, Clock: uint64(i)})
 	}
-	if got := r.Snapshot()[0].Events["meta_cache_hit"]; got != n {
+	if got := r.Snapshot().Cells[0].Events["meta_cache_hit"]; got != n {
 		t.Fatalf("exact counter = %d, want %d", got, n)
 	}
 	stored, _ := r.EventsSince(0, 0, 0)
@@ -228,9 +234,9 @@ func TestHotKindThinning(t *testing.T) {
 	}
 }
 
-// TestCellHotPathZeroAlloc pins the producer discipline: once handles are
-// resolved, Record and PublishSample must not heap-allocate — they run on
-// the replay hot path of every instrumented cell.
+// TestCellHotPathZeroAlloc pins the producer discipline: once the cell is
+// open, Record and PublishSample must not heap-allocate — they run on the
+// replay hot path of every instrumented cell.
 func TestCellHotPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -21,9 +20,8 @@ const DefaultRateWindow = 30 * time.Second
 // warm-up it converges to the steady-state rate, and on an idle queue it
 // decays to zero as the window slides past the last progress.
 type RateWindow struct {
-	mu     sync.Mutex
-	window time.Duration
-	obs    []rateObs
+	mu  sync.Mutex
+	obs []rateObs
 }
 
 type rateObs struct {
@@ -31,14 +29,8 @@ type rateObs struct {
 	total uint64
 }
 
-// NewRateWindow creates a RateWindow spanning the given duration (<= 0
-// selects DefaultRateWindow).
-func NewRateWindow(window time.Duration) *RateWindow {
-	if window <= 0 {
-		window = DefaultRateWindow
-	}
-	return &RateWindow{window: window}
-}
+// NewRateWindow creates a RateWindow spanning DefaultRateWindow.
+func NewRateWindow() *RateWindow { return &RateWindow{} }
 
 // Observe records the counter's current total at time t. Observations must
 // be fed in nondecreasing time order per window (concurrent observers racing
@@ -56,7 +48,7 @@ func (w *RateWindow) Observe(t time.Time, total uint64) {
 	w.obs = append(w.obs, rateObs{t: t, total: total})
 	// Prune to the window, always keeping one observation at or before the
 	// boundary as the slope's baseline, so the measured span stays ~window.
-	cut := t.Add(-w.window)
+	cut := t.Add(-DefaultRateWindow)
 	drop := 0
 	for drop < len(w.obs)-1 && !w.obs[drop+1].t.After(cut) {
 		drop++
@@ -99,58 +91,4 @@ func (r *Registry) LiveOpsPerSec() float64 {
 		return float64(t.Ops) / up
 	}
 	return 0
-}
-
-// WADist summarizes one write-amplification distribution for the fleet
-// endpoint. Quantile fields are NaN when Count is zero.
-type WADist struct {
-	Count         uint64
-	P50, P90, P99 float64
-	Max           float64
-}
-
-func distOf(h *Histogram) WADist {
-	d := WADist{Count: h.Count(), Max: h.Max()}
-	if d.Count == 0 {
-		d.P50, d.P90, d.P99 = math.NaN(), math.NaN(), math.NaN()
-		return d
-	}
-	d.P50 = h.Quantile(0.50)
-	d.P90 = h.Quantile(0.90)
-	d.P99 = h.Quantile(0.99)
-	return d
-}
-
-// SchemeWA is one scheme's fleet-wide WA distributions: per-sample interval
-// WA across all of the scheme's cells, and end-of-run WA across its
-// completed cells.
-type SchemeWA struct {
-	Scheme     string
-	IntervalWA WADist
-	FinalWA    WADist
-}
-
-// FleetWA returns the per-scheme WA distributions (sorted by scheme name)
-// plus the fleet-wide interval-WA distribution — the data behind
-// /api/v1/fleet's percentiles.
-func (r *Registry) FleetWA() (all WADist, schemes []SchemeWA) {
-	all = distOf(r.sampleIntervalWA)
-	r.mu.Lock()
-	cells := append([]*Cell(nil), r.order...)
-	r.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, c := range cells {
-		s := c.meta.Scheme
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		schemes = append(schemes, SchemeWA{
-			Scheme:     s,
-			IntervalWA: distOf(c.schemeIntervalWA),
-			FinalWA:    distOf(c.schemeFinalWA),
-		})
-	}
-	sort.Slice(schemes, func(i, j int) bool { return schemes[i].Scheme < schemes[j].Scheme })
-	return all, schemes
 }

@@ -14,7 +14,7 @@ import (
 // burst, where the old lifetime average stayed pinned at a stale positive
 // figure forever.
 func TestRateWindowBurstThenIdle(t *testing.T) {
-	w := NewRateWindow(10 * time.Second)
+	w := NewRateWindow()
 	t0 := time.Unix(1000, 0)
 	if !math.IsNaN(w.Rate()) {
 		t.Fatalf("empty window rate = %v, want NaN", w.Rate())
@@ -32,20 +32,20 @@ func TestRateWindowBurstThenIdle(t *testing.T) {
 	}
 	// Idle: the counter stops. While the burst is still inside the window the
 	// rate shrinks; once the window has slid fully past it, the rate is 0.
-	w.Observe(t0.Add(8*time.Second), 4000)
+	w.Observe(t0.Add(20*time.Second), 4000)
 	mid := w.Rate()
 	if math.IsNaN(mid) || mid <= 0 || mid >= 1000 {
 		t.Fatalf("mid-idle rate = %v, want in (0, 1000)", mid)
 	}
-	w.Observe(t0.Add(20*time.Second), 4000)
-	w.Observe(t0.Add(25*time.Second), 4000)
+	w.Observe(t0.Add(60*time.Second), 4000)
+	w.Observe(t0.Add(75*time.Second), 4000)
 	if got := w.Rate(); got != 0 {
 		t.Fatalf("idle rate = %v, want 0 (lifetime average would report %v)",
-			got, 4000.0/25.0)
+			got, 4000.0/75.0)
 	}
 	// Stale observations (older time or lower total) are dropped.
-	w.Observe(t0.Add(24*time.Second), 4000)
-	w.Observe(t0.Add(26*time.Second), 3000)
+	w.Observe(t0.Add(74*time.Second), 4000)
+	w.Observe(t0.Add(76*time.Second), 3000)
 	if got := w.Rate(); got != 0 {
 		t.Fatalf("rate after stale observations = %v, want 0", got)
 	}
@@ -65,7 +65,7 @@ func TestLiveOpsPerSecFallback(t *testing.T) {
 
 // TestFleetWA pins the per-scheme WA aggregation behind /api/v1/fleet:
 // interval WA fed per sample, final WA fed once per completed cell, schemes
-// sorted, empty distributions flagged by Count 0 / NaN quantiles.
+// sorted, empty distributions flagged by Count 0 and omitted quantiles.
 func TestFleetWA(t *testing.T) {
 	r := New()
 	phftl := r.OpenCell("#52/PHFTL", CellMeta{Trace: "#52", Scheme: "PHFTL"})
@@ -94,14 +94,14 @@ func TestFleetWA(t *testing.T) {
 	if b.IntervalWA.Count != 5 || b.FinalWA.Count != 2 {
 		t.Fatalf("Base counts wrong: %+v", b)
 	}
-	if b.IntervalWA.Max != 2.9 || b.FinalWA.Max != 1.31 {
-		t.Fatalf("Base max wrong: interval %v final %v", b.IntervalWA.Max, b.FinalWA.Max)
+	if *b.IntervalWA.Max != 2.9 || *b.FinalWA.Max != 1.31 {
+		t.Fatalf("Base max wrong: interval %v final %v", *b.IntervalWA.Max, *b.FinalWA.Max)
 	}
-	if b.FinalWA.P50 <= 0 || b.FinalWA.P99 < b.FinalWA.P50 {
+	if *b.FinalWA.P50 <= 0 || *b.FinalWA.P99 < *b.FinalWA.P50 {
 		t.Fatalf("Base final quantiles wrong: %+v", b.FinalWA)
 	}
 	p := schemes[1]
-	if p.FinalWA.Count != 0 || !math.IsNaN(p.FinalWA.P50) || !math.IsNaN(p.FinalWA.Max) {
+	if p.FinalWA.Count != 0 || p.FinalWA.P50 != nil || p.FinalWA.Max != nil {
 		t.Fatalf("PHFTL (never completed) final dist not empty: %+v", p.FinalWA)
 	}
 	_ = phftl
@@ -123,7 +123,7 @@ func TestStateCancelled(t *testing.T) {
 	if got := r.Totals().Cells[StateCancelled]; got != 1 {
 		t.Fatalf("cancelled count = %d, want 1", got)
 	}
-	if s := r.Snapshot()[0]; s.State != StateCancelled {
+	if s := r.Snapshot().Cells[0]; s.State != "cancelled" {
 		t.Fatalf("snapshot state = %v", s.State)
 	}
 	// A cancelled cell's elapsed time is frozen at the cancel stamp.

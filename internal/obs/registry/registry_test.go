@@ -4,141 +4,129 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/phftl/phftl/internal/obs"
 )
 
-// TestCounterSetTotal pins the monotone-publish contract: SetTotal never
-// winds a counter backwards, so a lagging sampler cannot make a served
-// counter non-monotonic.
+func expo(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestCounterSetTotal pins the monotone-publish contract: a stale
+// PublishSample (a lagging sampler) never winds a cell's totals backwards,
+// so a served counter stays monotone.
 func TestCounterSetTotal(t *testing.T) {
-	var c Counter
-	c.SetTotal(100)
-	c.SetTotal(40) // stale writer: dropped
-	if got := c.Value(); got != 100 {
-		t.Fatalf("Value = %d after stale SetTotal, want 100", got)
+	r := New()
+	c := r.OpenCell("x", CellMeta{Trace: "t", Scheme: "s"})
+	c.PublishSample(testSample(100), FTLTotals{UserWrites: 100, GCWrites: 30, MetaWrites: 2})
+	c.PublishSample(testSample(40), FTLTotals{UserWrites: 40, GCWrites: 10, MetaWrites: 1}) // stale: dropped
+	s := r.Snapshot().Cells[0]
+	if s.Ops != 100 || s.UserWrites != 100 || s.GCWrites != 30 || s.MetaWrites != 2 {
+		t.Fatalf("stale sample moved totals backwards: %+v", s)
 	}
-	c.SetTotal(150)
-	if got := c.Value(); got != 150 {
-		t.Fatalf("Value = %d, want 150", got)
+	if !strings.Contains(expo(t, r), `phftl_cell_ops_total{cell="x"} 100`+"\n") {
+		t.Fatal("served ops went backwards")
 	}
-	if got := c.Inc(); got != 151 {
-		t.Fatalf("Inc = %d, want 151", got)
+	c.PublishSample(testSample(150), FTLTotals{UserWrites: 150, GCWrites: 30, MetaWrites: 2})
+	if got := r.Totals().Ops; got != 150 {
+		t.Fatalf("Ops = %d, want 150", got)
 	}
 }
 
-// TestGaugeNaNDefault pins the no-observation convention: a fresh gauge
-// holds NaN and is skipped by the exposition until its first Set.
+// TestGaugeNaNDefault pins the no-observation convention: a fresh cell's
+// gauges are NaN and skipped by the exposition (only its lifecycle state is
+// served) until the first sample, and a Base cell's cache-hit gauge, NaN in
+// every sample, never appears.
 func TestGaugeNaNDefault(t *testing.T) {
 	r := New()
-	g := r.Gauge("phftl_test_gauge", "A test gauge.")
-	if !math.IsNaN(g.Value()) {
-		t.Fatalf("fresh gauge = %v, want NaN", g.Value())
+	c := r.OpenCell("#52/Base", CellMeta{Trace: "#52", Scheme: "Base"})
+	out := expo(t, r)
+	if strings.Contains(out, "_wa{") || strings.Contains(out, "phftl_cell_free_superblocks") ||
+		!strings.Contains(out, `phftl_cell_state{cell="#52/Base"} 0`) {
+		t.Fatalf("fresh cell rendered wrong:\n%s", out)
 	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	s := testSample(10)
+	s.CacheHitRatio = math.NaN()
+	s.Threshold = 0
+	s.CumWA = 1.5
+	c.PublishSample(s, FTLTotals{UserWrites: 10})
+	out = expo(t, r)
+	if !strings.Contains(out, `phftl_cell_cum_wa{cell="#52/Base"} 1.5`+"\n") {
+		t.Fatalf("published gauge missing:\n%s", out)
 	}
-	if strings.Contains(b.String(), "phftl_test_gauge") {
-		t.Fatalf("NaN gauge rendered:\n%s", b.String())
-	}
-	g.Set(1.5)
-	b.Reset()
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "phftl_test_gauge 1.5\n") {
-		t.Fatalf("set gauge missing:\n%s", b.String())
-	}
-}
-
-// TestHandleIdentity pins the resolve-once contract: the same (name, labels)
-// always returns the same handle, regardless of label order at the call
-// site.
-func TestHandleIdentity(t *testing.T) {
-	r := New()
-	a := r.Counter("phftl_test_total", "t", Label{"x", "1"}, Label{"y", "2"})
-	b := r.Counter("phftl_test_total", "t", Label{"y", "2"}, Label{"x", "1"})
-	if a != b {
-		t.Fatal("label order split the series")
-	}
-	other := r.Counter("phftl_test_total", "t", Label{"x", "other"}, Label{"y", "2"})
-	if a == other {
-		t.Fatal("distinct label values share a handle")
+	if strings.Contains(out, "phftl_cell_cache_hit_ratio") {
+		t.Fatalf("Base cell served a cache-hit gauge:\n%s", out)
 	}
 }
 
-// TestRegistrationPanics pins the programmer-error guards: invalid names,
-// counters without _total, and cross-type re-registration all panic rather
-// than corrupt the exposition.
-func TestRegistrationPanics(t *testing.T) {
-	r := New()
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("invalid name", func() { r.Counter("bad name_total", "t") })
-	mustPanic("counter without _total", func() { r.Counter("phftl_bad", "t") })
-	mustPanic("type re-registration", func() {
-		r.Gauge("phftl_g", "t")
-		r.Histogram("phftl_g", "t", 4, 1)
-	})
-	mustPanic("invalid label name", func() { r.Counter("phftl_l_total", "t", Label{"bad name", "v"}) })
-}
-
-// expoGolden is the exact exposition for a small hand-built registry:
-// families sorted by name, children by label signature, NaN gauges skipped,
-// histograms as cumulative le buckets + _sum + _count. New() pre-registers
-// the two cross-cell histograms, which render only once fed.
-const expoGolden = `# HELP phftl_demo_events_total Events by kind.
-# TYPE phftl_demo_events_total counter
-phftl_demo_events_total{kind="gc_end"} 2
-phftl_demo_events_total{kind="gc_start"} 3
-# HELP phftl_demo_lat Latency histogram.
-# TYPE phftl_demo_lat histogram
-phftl_demo_lat_bucket{le="0.5"} 1
-phftl_demo_lat_bucket{le="1"} 2
-phftl_demo_lat_bucket{le="+Inf"} 3
-phftl_demo_lat_sum 3
-phftl_demo_lat_count 3
-# HELP phftl_demo_wa Interval WA.
-# TYPE phftl_demo_wa gauge
-phftl_demo_wa{cell="#52/PHFTL"} 0.25
+// expoGolden is the exact exposition of one cell that has recorded events
+// but never published a sample: every per-kind event count (zeros included,
+// kinds sorted by name), the four totals at zero, the state gauge, and no
+// NaN gauge or empty histogram.
+const expoGolden = `# HELP phftl_cell_events_total Trace events recorded per cell and kind (exact, including ring-thinned events).
+# TYPE phftl_cell_events_total counter
+phftl_cell_events_total{cell="#52/PHFTL",kind="erase"} 1
+phftl_cell_events_total{cell="#52/PHFTL",kind="gc_end"} 2
+phftl_cell_events_total{cell="#52/PHFTL",kind="gc_start"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="meta_cache_evict"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="meta_cache_hit"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="meta_cache_miss"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="sb_close"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="sb_open"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="threshold_update"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="unknown"} 1
+phftl_cell_events_total{cell="#52/PHFTL",kind="window_retrain"} 0
+phftl_cell_events_total{cell="#52/PHFTL",kind="write_stall"} 0
+# HELP phftl_cell_gc_writes_total GC page migrations issued by the cell's FTL.
+# TYPE phftl_cell_gc_writes_total counter
+phftl_cell_gc_writes_total{cell="#52/PHFTL"} 0
+# HELP phftl_cell_meta_writes_total Metadata page programs issued by the cell's FTL (PHFTL only).
+# TYPE phftl_cell_meta_writes_total counter
+phftl_cell_meta_writes_total{cell="#52/PHFTL"} 0
+# HELP phftl_cell_ops_total User page writes replayed into the cell (the FTL virtual clock).
+# TYPE phftl_cell_ops_total counter
+phftl_cell_ops_total{cell="#52/PHFTL"} 0
+# HELP phftl_cell_state Cell lifecycle state: 0 queued, 1 running, 2 done, 3 failed, 4 cancelled.
+# TYPE phftl_cell_state gauge
+phftl_cell_state{cell="#52/PHFTL"} 1
+# HELP phftl_cell_user_writes_total User page programs issued by the cell's FTL.
+# TYPE phftl_cell_user_writes_total counter
+phftl_cell_user_writes_total{cell="#52/PHFTL"} 0
 `
 
-// TestWritePrometheusGolden pins the exposition renderer byte-for-byte.
+// TestWritePrometheusGolden pins the renderer byte for byte on one cell.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := New()
-	r.Counter("phftl_demo_events_total", "Events by kind.", Label{"kind", "gc_start"}).Add(3)
-	r.Counter("phftl_demo_events_total", "Events by kind.", Label{"kind", "gc_end"}).Add(2)
-	r.Gauge("phftl_demo_wa", "Interval WA.", Label{"cell", "#52/PHFTL"}).Set(0.25)
-	r.Gauge("phftl_demo_nan", "Stays NaN, never rendered.")
-	h := r.Histogram("phftl_demo_lat", "Latency histogram.", 3, 0.5)
-	h.Observe(0.25)
-	h.Observe(0.75)
-	h.Observe(2) // overflow: absorbed by the final (+Inf) bucket
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.String(); got != expoGolden {
+	c := r.OpenCell("#52/PHFTL", CellMeta{Trace: "#52", Scheme: "PHFTL"})
+	c.SetState(StateRunning)
+	c.Record(obs.Event{Kind: obs.KindGCEnd})
+	c.Record(obs.Event{Kind: obs.KindGCEnd})
+	c.Record(obs.Event{Kind: obs.KindErase})
+	c.Record(obs.Event{Kind: obs.Kind(obs.NumKinds + 3)}) // out of range: "unknown"
+	if got := expo(t, r); got != expoGolden {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, expoGolden)
 	}
 }
 
-// TestLabelEscaping pins exposition-format escaping of label values.
+// TestLabelEscaping pins the cell label: quote, backslash and newline
+// escaped, invalid UTF-8 served as U+FFFD, and series ordered by the escaped
+// label block rather than by the raw name ("a!" sorts before "a" because
+// '!' < '"').
 func TestLabelEscaping(t *testing.T) {
 	r := New()
-	r.Counter("phftl_esc_total", "t", Label{"v", "a\"b\\c\nd"}).Add(1)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `phftl_esc_total{v="a\"b\\c\nd"} 1` + "\n"
-	if !strings.Contains(b.String(), want) {
-		t.Fatalf("escaped label missing %q in:\n%s", want, b.String())
+	r.OpenCell("a", CellMeta{})
+	r.OpenCell("a\"b\\c\nd\xff", CellMeta{})
+	r.OpenCell("a!", CellMeta{})
+	want := `phftl_cell_ops_total{cell="a!"} 0
+phftl_cell_ops_total{cell="a"} 0
+phftl_cell_ops_total{cell="a\"b\\c\nd` + "�" + `"} 0
+`
+	if out := expo(t, r); !strings.Contains(out, want) {
+		t.Fatalf("escaped, ordered series missing %q in:\n%s", want, out)
 	}
 }

@@ -29,8 +29,8 @@ func TestObserveWithRegistryCell(t *testing.T) {
 	o.Finish(in.FTL.Clock())
 	cell.SetState(registry.StateDone)
 
-	s := reg.Snapshot()[0]
-	if s.State != registry.StateDone {
+	s := reg.Snapshot().Cells[0]
+	if s.State != registry.StateDone.String() {
 		t.Fatalf("state = %v", s.State)
 	}
 	// The final sample (Observation.Finish) publishes the closing totals, so
@@ -45,7 +45,7 @@ func TestObserveWithRegistryCell(t *testing.T) {
 	if s.Ops != in.FTL.Clock() {
 		t.Fatalf("registry ops %d != clock %d", s.Ops, in.FTL.Clock())
 	}
-	if s.CumWA != res.FTLStats.WA() {
+	if s.CumWA == nil || *s.CumWA != res.FTLStats.WA() {
 		t.Fatalf("registry cum WA %v != stats %v", s.CumWA, res.FTLStats.WA())
 	}
 	if s.GCPasses == 0 || s.Events["gc_start"] != s.GCPasses {

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -123,6 +124,9 @@ func parseFields(ts, op, off, size string) (Record, error) {
 	s, err := strconv.ParseUint(size, 10, 32)
 	if err != nil {
 		return rec, fmt.Errorf("bad size %q: %w", size, err)
+	}
+	if o > math.MaxUint64-s {
+		return rec, fmt.Errorf("extent %s+%s overflows 64 bits", off, size)
 	}
 	switch {
 	case strings.EqualFold(op, "R") || strings.EqualFold(op, "Read"):

@@ -361,11 +361,18 @@ func TestReadCSVErrors(t *testing.T) {
 		"1,W,0,4096\n1,X,0,1\n",                    // bad op
 		"1,W,0,4096\n1,W,abc,1\n",                  // bad offset
 		"1,W,0,4096\n1,W,0,99999999999999999999\n", // size overflow
+		"1,W,0,4096\n1,W,18446744073709551615,1\n", // offset+size overflows
 	}
 	for _, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
+		} else if !strings.HasPrefix(err.Error(), "trace: line 2: ") {
+			t.Errorf("input %q: error %q does not name line 2", in, err)
 		}
+	}
+	// The largest extent that still fits is accepted.
+	if _, err := ReadCSV(strings.NewReader("1,W,0,4096\n1,W,18446744073709551614,1\n")); err != nil {
+		t.Errorf("extent ending at 2^64-1 rejected: %v", err)
 	}
 }
 
