@@ -243,17 +243,20 @@ func NewHistogram(n int, width float64) *Histogram {
 
 // Add records one sample. NaN samples are dropped (a NaN would poison the
 // running sum and min/max); negative samples are clamped into the first
-// bucket but keep their exact value in the sum and extrema.
+// bucket and overflowing ones (+Inf included) into the last, both keeping
+// their exact value in the sum and extrema. The bucket index is clamped as
+// a float: converting an out-of-range float to int is undefined in Go (on
+// amd64 it yields math.MinInt64, which would file +Inf in the first bucket).
 func (h *Histogram) Add(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	idx := int(v / h.width)
-	if idx < 0 {
+	idx := len(h.buckets) - 1
+	switch q := v / h.width; {
+	case q < 0:
 		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
+	case q < float64(idx):
+		idx = int(q)
 	}
 	h.buckets[idx]++
 	h.count++

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -288,6 +289,18 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	if got := h.Quantile(0); got < 0.5 || got > 1e9 {
 		t.Errorf("Quantile(0) = %v outside observed range", got)
+	}
+}
+
+// Samples beyond int's range must still land in the edge buckets: +Inf and
+// a huge finite value in the overflow bucket, -Inf in the first.
+func TestHistogramInfAndHuge(t *testing.T) {
+	h := NewHistogram(4, 0.05)
+	h.Add(math.Inf(1))
+	h.Add(1e300)
+	h.Add(math.Inf(-1))
+	if got, want := h.AppendBuckets(nil), []uint64{1, 0, 0, 2}; !slices.Equal(got, want) {
+		t.Errorf("buckets = %v, want %v", got, want)
 	}
 }
 
