@@ -264,7 +264,7 @@ func BenchmarkAblationVictimPolicy(b *testing.B) {
 		b.Run(pol, func(b *testing.B) {
 			var wa float64
 			for i := 0; i < b.N; i++ {
-				in, err := sim.BuildPHFTLWithPolicy(geo, core.DefaultOptions(), pol)
+				in, err := sim.Build(sim.SchemePHFTL, geo, &sim.Spec{Policy: pol})
 				if err != nil {
 					b.Fatal(err)
 				}

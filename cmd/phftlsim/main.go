@@ -135,7 +135,7 @@ func main() {
 		fmt.Printf("csv trace %s: %d writes (%d MB), %d reads, %d trims, scheme %s\n",
 			*csvPath, st.Writes, st.WriteBytes>>20, st.Reads, st.Trims, job.Scheme)
 	}
-	fmt.Printf("\n%s", runner.Summary(out.Result, in.FTL.Wear(), in.FTL.LifetimeWrites(3000)))
+	fmt.Printf("\n%s", runner.Summary(out.Result, in.FTL))
 
 	o := in.Obs // non-nil whenever a sink, the report or -listen asked for it
 	if o != nil && o.Rec.Dropped() > 0 {

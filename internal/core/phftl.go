@@ -60,10 +60,6 @@ type Options struct {
 	Quantize bool
 	// Seed drives every random choice (init, shuffles, reservoir).
 	Seed int64
-	// OPRatio, when positive, overrides the FTL overprovisioning ratio in
-	// Build (0 keeps ftl.DefaultConfig's value, the paper's 7%). OP sweeps
-	// use it to re-derive the exported capacity per spare factor.
-	OPRatio float64
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -230,7 +226,7 @@ const TrainerLanes = 4
 
 // New creates a PHFTL scheme for the given geometry and exported capacity.
 // Attach must be called with the owning FTL before the first write. Most
-// callers should use Build instead.
+// callers should use NewForFTL (or sim.Build, or Build) instead.
 func New(geo nand.Geometry, exportedPages int, opts Options) (*PHFTL, error) {
 	if opts.Hidden <= 0 {
 		return nil, fmt.Errorf("core: Hidden must be positive, got %d", opts.Hidden)
@@ -303,45 +299,34 @@ func New(geo nand.Geometry, exportedPages int, opts Options) (*PHFTL, error) {
 // Attach wires the metadata store to the FTL that owns this separator.
 func (p *PHFTL) Attach(reader FlashReader) { p.meta.reader = reader }
 
-// Build assembles a complete PHFTL system: the FTL configured with the meta
-// layout, the Adjusted Greedy victim policy fed by the adaptive threshold,
-// and the wired-up scheme.
-func Build(geo nand.Geometry, opts Options) (*ftl.FTL, *PHFTL, error) {
-	return BuildWithDevice(nil, geo, opts)
+// NewForFTL creates a PHFTL scheme for the FTL cfg describes. It applies
+// PHFTL's FTL settings to cfg — the meta pages reserved by MetaLayout and
+// the GC-class cap — sizes the scheme to the capacity cfg then exports, and
+// returns the Adjusted Greedy victim policy fed by the adaptive threshold.
+// Build the FTL from cfg, the scheme and a policy, then Attach it.
+func NewForFTL(cfg *ftl.Config, opts Options) (*PHFTL, ftl.VictimPolicy, error) {
+	_, cfg.MetaPagesPerSB, _ = MetaLayout(cfg.Geometry.PagesPerSuperblock(), cfg.Geometry.PageSize)
+	cfg.MaxGCClass = opts.GCStreams
+	p, err := New(cfg.Geometry, cfg.ExportedPages(), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, &ftl.AdjustedGreedyPolicy{Thresh: p, IsShortStream: p.IsShortStream}, nil
 }
 
-// BuildWithDevice is Build over a caller-supplied fresh device (so timing
-// models can install device hooks first). A nil device allocates one.
-func BuildWithDevice(dev *nand.Device, geo nand.Geometry, opts Options) (*ftl.FTL, *PHFTL, error) {
-	dataPages, metaPages, _ := MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
+// Build assembles a complete PHFTL system over a fresh device at the
+// paper's FTL defaults: the FTL configured by NewForFTL under Adjusted
+// Greedy, and the attached scheme. sim.Build assembles every scheme,
+// PHFTL included, with more choices.
+func Build(geo nand.Geometry, opts Options) (*ftl.FTL, *PHFTL, error) {
 	cfg := ftl.DefaultConfig(geo)
-	cfg.MetaPagesPerSB = metaPages
-	cfg.MaxGCClass = opts.GCStreams
-	if opts.OPRatio > 0 {
-		cfg.OPRatio = opts.OPRatio
-	}
-	exported := int(float64(geo.Superblocks()*dataPages) / (1 + cfg.OPRatio))
-	p, err := New(geo, exported, opts)
+	p, policy, err := NewForFTL(&cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	policy := &ftl.AdjustedGreedyPolicy{Thresh: p, IsShortStream: p.IsShortStream}
-	if dev == nil {
-		dev, err = nand.NewDevice(geo)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		// An injected device implies a timing model is watching: charge
-		// host reads as flash reads.
-		cfg.CountHostReads = true
-	}
-	f, err := ftl.NewWithDevice(cfg, dev, p, policy)
+	f, err := ftl.New(cfg, p, policy)
 	if err != nil {
 		return nil, nil, err
-	}
-	if f.ExportedPages() != exported {
-		return nil, nil, fmt.Errorf("core: exported-capacity mismatch: %d vs %d", f.ExportedPages(), exported)
 	}
 	p.Attach(f)
 	return f, p, nil

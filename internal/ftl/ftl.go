@@ -45,6 +45,16 @@ func DefaultConfig(geo nand.Geometry) Config {
 	}
 }
 
+// ExportedPages is the logical capacity an FTL built from this
+// configuration exports: the data pages of every superblock (meta pages
+// excluded) divided by 1 + OPRatio. It is the one place that capacity is
+// derived; schemes sized to the drive (SepBIT's table, PHFTL's per-page
+// arrays) read it before the FTL exists.
+func (c Config) ExportedPages() int {
+	dataPages := c.Geometry.PagesPerSuperblock() - c.MetaPagesPerSB
+	return int(float64(c.Geometry.Superblocks()*dataPages) / (1 + c.OPRatio))
+}
+
 // SuperblockState is the lifecycle state of a superblock.
 type SuperblockState uint8
 
@@ -138,9 +148,6 @@ type FTL struct {
 
 // New assembles an FTL over a fresh device.
 func New(cfg Config, sep Separator, policy VictimPolicy) (*FTL, error) {
-	if err := cfg.Geometry.Validate(); err != nil {
-		return nil, err
-	}
 	dev, err := nand.NewDevice(cfg.Geometry)
 	if err != nil {
 		return nil, err
@@ -166,8 +173,7 @@ func NewWithDevice(cfg Config, dev *nand.Device, sep Separator, policy VictimPol
 	if cfg.MaxGCClass < 1 {
 		cfg.MaxGCClass = 1
 	}
-	totalData := geo.Superblocks() * dataPages
-	exported := int(float64(totalData) / (1 + cfg.OPRatio))
+	exported := cfg.ExportedPages()
 	if exported < 1 {
 		return nil, fmt.Errorf("ftl: configuration exports no capacity")
 	}
@@ -240,6 +246,9 @@ func (f *FTL) Stats() Stats { return f.stats }
 
 // Separator returns the installed data-separation scheme.
 func (f *FTL) Separator() Separator { return f.sep }
+
+// Policy returns the victim policy in use.
+func (f *FTL) Policy() VictimPolicy { return f.policy }
 
 // SetRecorder installs (or with nil removes) the trace-event recorder.
 func (f *FTL) SetRecorder(r obs.Recorder) { f.rec = r }
@@ -444,6 +453,17 @@ func (f *FTL) ReadMetaPage(ppn nand.PPN) ([]byte, error) {
 
 // FreeSuperblocks returns the current number of free superblocks.
 func (f *FTL) FreeSuperblocks() int { return len(f.free) }
+
+// LifetimeWrites estimates how many user page writes the drive can absorb
+// before any block reaches enduranceCycles erases, extrapolating linearly
+// from the device's most-erased block. Returns 0 before any erase happened.
+func (f *FTL) LifetimeWrites(enduranceCycles int) uint64 {
+	maxErases := f.dev.MaxEraseCount()
+	if maxErases == 0 || f.stats.UserPageWrites == 0 {
+		return 0
+	}
+	return f.stats.UserPageWrites * uint64(enduranceCycles) / uint64(maxErases)
+}
 
 // maybeGC implements the paper's GC trigger (§III-D): after each write, if
 // the proportion of free superblocks is below the watermark, one victim is

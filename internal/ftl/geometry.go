@@ -30,29 +30,32 @@ func GeometryFor(exportedPages int, opRatio float64, metaPagesPerSB, numStreams,
 		pagesPerBlock++
 		dataPerSB = dies*pagesPerBlock - metaPagesPerSB
 	}
-	sbs := targetSBs
+	// Grow the superblock count from the target; the loop's config is the
+	// one the FTL will derive the exported capacity from.
+	cfg := Config{
+		Geometry: nand.Geometry{
+			PageSize:      pageSize,
+			OOBSize:       oobSize,
+			PagesPerBlock: pagesPerBlock,
+			BlocksPerDie:  targetSBs,
+			Dies:          dies,
+		},
+		OPRatio:        opRatio,
+		MetaPagesPerSB: metaPagesPerSB,
+	}
 	// Cap growth: when opRatio cannot fund the 5% watermark reserve at any
 	// size, stop and let ftl.New report the configuration error.
-	maxSBs := targetSBs*100 + 1000
-	for sbs < maxSBs {
-		totalData := sbs * dataPerSB
-		exported := int(float64(totalData) / (1 + opRatio))
+	for maxSBs := targetSBs*100 + 1000; cfg.Geometry.BlocksPerDie < maxSBs; cfg.Geometry.BlocksPerDie++ {
+		exported := cfg.ExportedPages()
 		// Spare must cover the GC floor (streams+1), the open superblocks'
 		// transient unfilled slots (~streams), and a few superblocks of
 		// aging garbage — otherwise GC is forced to harvest half-dead
 		// victims and WA explodes regardless of placement quality.
 		liveSBs := (exported + dataPerSB - 1) / dataPerSB
-		spare := sbs - liveSBs
+		spare := cfg.Geometry.BlocksPerDie - liveSBs
 		if exported >= exportedPages && spare >= 2*numStreams+5 {
 			break
 		}
-		sbs++
 	}
-	return nand.Geometry{
-		PageSize:      pageSize,
-		OOBSize:       oobSize,
-		PagesPerBlock: pagesPerBlock,
-		BlocksPerDie:  sbs,
-		Dies:          dies,
-	}
+	return cfg.Geometry
 }

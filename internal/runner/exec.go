@@ -40,13 +40,11 @@ type Job struct {
 // recorder behind a report).
 func Exec(ctx context.Context, j Job) (*sim.Instance, Output, error) {
 	p := j.Profile
-	var in *sim.Instance
-	var err error
+	geo := sim.GeometryForDrive(p.ExportedPages, p.PageSize)
 	if j.OP > 0 {
-		in, err = sim.BuildOP(j.Scheme, sim.GeometryForDriveOP(p.ExportedPages, p.PageSize, j.OP), j.OP, nil)
-	} else {
-		in, err = sim.Build(j.Scheme, sim.GeometryForDrive(p.ExportedPages, p.PageSize), nil)
+		geo = sim.GeometryForDriveOP(p.ExportedPages, p.PageSize, j.OP)
 	}
+	in, err := sim.Build(j.Scheme, geo, &sim.Spec{OP: j.OP})
 	if err != nil {
 		return nil, Output{}, err
 	}

@@ -53,26 +53,33 @@ func sanitizeFile(s string) string {
 	return b.String()
 }
 
-// Summary renders the single-run measurement block (WA, GC activity, wear,
-// and for PHFTL the classifier/threshold/cache statistics) that phftlsim
-// prints. lifetime 0 suppresses the endurance line.
-func Summary(res sim.Result, wear ftl.WearReport, lifetime uint64) string {
+// Summary renders the single-run measurement block (WA, GC activity, wear
+// read from the FTL's device, and for PHFTL the classifier/threshold/cache
+// statistics) that phftlsim prints. The endurance line appears once a block
+// has been erased.
+func Summary(res sim.Result, f *ftl.FTL) string {
 	var b strings.Builder
 	s := res.FTLStats
 	fmt.Fprintf(&b, "write amplification    %.1f%% (data-only %.1f%%)\n", res.WA*100, res.DataWA*100)
 	fmt.Fprintf(&b, "user page writes       %d\n", s.UserPageWrites)
 	fmt.Fprintf(&b, "gc page migrations     %d (over %d victims, %d futile passes)\n", s.GCPageWrites, s.GCVictims, s.GCFutile)
 	fmt.Fprintf(&b, "meta page writes       %d\n", s.MetaPageWrites)
+	dev := f.Device()
+	erases, imbalance := dev.Stats().Erases, 0.0
+	if erases > 0 {
+		imbalance = dev.WearSkew() // NaN before the first erase
+	}
 	fmt.Fprintf(&b, "wear                   %d erases (max/block %d, imbalance %.2f)\n",
-		wear.TotalErases, wear.MaxErases, wear.ImbalanceRatio)
-	if len(wear.PerDie) > 0 && wear.TotalErases > 0 {
+		erases, dev.MaxEraseCount(), imbalance)
+	if erases > 0 {
 		b.WriteString("wear per die          ")
-		for die, e := range wear.PerDie {
+		for die := range dev.Geometry().Dies {
+			e, _ := dev.DieEraseCount(die) // in range
 			fmt.Fprintf(&b, " d%d:%d", die, e)
 		}
 		b.WriteString("\n")
 	}
-	if lifetime > 0 {
+	if lifetime := f.LifetimeWrites(3000); lifetime > 0 {
 		fmt.Fprintf(&b, "endurance estimate     %d user page writes at 3K P/E cycles\n", lifetime)
 	}
 	if res.Confusion != nil {

@@ -35,7 +35,8 @@ type Cell struct {
 
 	// OP, when positive, marks an overprovisioning-sweep cell built at that
 	// spare ratio instead of the default 7% (wabench -op-sweep). It feeds
-	// run tagging only; the harness maps it to GeometryForDriveOP/BuildOP.
+	// run tagging only; the harness maps it to GeometryForDriveOP and
+	// sim.Spec.OP.
 	OP float64
 
 	// TargetOps is the cell's expected user-page-write total (0 = unknown).

@@ -29,7 +29,7 @@ func TestUniformClosedForm(t *testing.T) {
 	prevWA := -1.0
 	for _, op := range []float64{0.07, 0.15, 0.28} {
 		geo := GeometryForDriveOP(p.ExportedPages, p.PageSize, op)
-		in, err := BuildOP(SchemeBase, geo, op, nil)
+		in, err := Build(SchemeBase, geo, &Spec{OP: op})
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
 		}

@@ -208,114 +208,97 @@ func Observe(in *Instance, cfg ObserveConfig) *Observation {
 // Finish takes a final sample at the given clock.
 func (o *Observation) Finish(clock uint64) { o.Sampler.Final(clock) }
 
-// Build constructs a scheme over the geometry. PHFTL options apply only to
-// SchemePHFTL; pass nil for defaults.
-func Build(scheme Scheme, geo nand.Geometry, opts *core.Options) (*Instance, error) {
-	return BuildWithDevice(scheme, nil, geo, opts)
+// Spec chooses how Build assembles a scheme. A nil Spec, or a zero field,
+// keeps the default.
+type Spec struct {
+	// OP is the overprovisioning ratio (default: ftl.DefaultConfig's 7%).
+	// The geometry should come from GeometryForDriveOP at the same ratio so
+	// the spare actually exists.
+	OP float64
+	// Device is a fresh device to build over, so a timing model can install
+	// its hooks first; host reads on it are charged as flash reads. Default:
+	// a new device of the geometry, with host reads not charged.
+	Device *nand.Device
+	// Policy names the GC victim policy: "adjusted" (Adjusted Greedy, PHFTL
+	// only and its default), "greedy" or "costbenefit" (the baselines'
+	// default).
+	Policy string
+	// PHFTL configures SchemePHFTL (default: core.DefaultOptions()).
+	PHFTL *core.Options
 }
 
-// BuildOP is Build at an explicit overprovisioning ratio (0 keeps the
-// DefaultConfig value), for OP sweeps. The geometry should come from
-// GeometryForDriveOP at the same ratio so the spare actually exists.
-func BuildOP(scheme Scheme, geo nand.Geometry, opRatio float64, opts *core.Options) (*Instance, error) {
-	return buildWithDevice(scheme, nil, geo, opRatio, opts)
-}
-
-// BuildWithDevice is Build over a caller-supplied fresh device, letting
-// timing models install device hooks first. With a non-nil device, host
-// reads are charged as flash reads. A nil device allocates one.
-func BuildWithDevice(scheme Scheme, dev *nand.Device, geo nand.Geometry, opts *core.Options) (*Instance, error) {
-	return buildWithDevice(scheme, dev, geo, 0, opts)
-}
-
-func buildWithDevice(scheme Scheme, dev *nand.Device, geo nand.Geometry, opRatio float64, opts *core.Options) (*Instance, error) {
+// Build constructs a scheme over the geometry: it picks the scheme's
+// separator and victim policy, builds the one FTL over the spec's device and
+// attaches PHFTL's metadata store to it.
+func Build(scheme Scheme, geo nand.Geometry, spec *Spec) (*Instance, error) {
+	var s Spec
+	if spec != nil {
+		s = *spec
+	}
 	cfg := ftl.DefaultConfig(geo)
-	if opRatio > 0 {
-		cfg.OPRatio = opRatio
+	if s.OP > 0 {
+		cfg.OPRatio = s.OP
 	}
-	newFTL := func(sep ftl.Separator) (*ftl.FTL, error) {
-		if dev == nil {
-			return ftl.New(cfg, sep, ftl.CostBenefitPolicy{})
-		}
-		cfg.CountHostReads = true
-		return ftl.NewWithDevice(cfg, dev, sep, ftl.CostBenefitPolicy{})
-	}
+	var (
+		sep      ftl.Separator
+		p        *core.PHFTL
+		adjusted ftl.VictimPolicy // PHFTL's Adjusted Greedy, nil for baselines
+	)
 	switch scheme {
 	case SchemePHFTL:
-		o := core.DefaultOptions()
-		if opts != nil {
-			o = *opts
+		opts := core.DefaultOptions()
+		if s.PHFTL != nil {
+			opts = *s.PHFTL
 		}
-		if opRatio > 0 {
-			o.OPRatio = opRatio
-		}
-		f, p, err := core.BuildWithDevice(dev, geo, o)
-		if err != nil {
+		var err error
+		if p, adjusted, err = core.NewForFTL(&cfg, opts); err != nil {
 			return nil, err
 		}
-		return &Instance{Scheme: scheme, FTL: f, PHFTL: p}, nil
+		sep = p
 	case SchemeBase:
-		f, err := newFTL(ftl.NewBaseSeparator())
-		if err != nil {
-			return nil, err
-		}
-		return &Instance{Scheme: scheme, FTL: f}, nil
+		sep = ftl.NewBaseSeparator()
 	case Scheme2R:
-		f, err := newFTL(tworegion.New())
-		if err != nil {
-			return nil, err
-		}
-		return &Instance{Scheme: scheme, FTL: f}, nil
+		sep = tworegion.New()
 	case SchemeSepBIT:
-		// SepBIT's RAM table is sized to the exported capacity the FTL will
-		// derive from this config (no meta pages: the full superblock is
-		// data), mirroring ftl.NewWithDevice's computation.
-		exported := int(float64(geo.Superblocks()*geo.PagesPerSuperblock()) / (1 + cfg.OPRatio))
-		f, err := newFTL(sepbit.New(exported))
-		if err != nil {
-			return nil, err
-		}
-		return &Instance{Scheme: scheme, FTL: f}, nil
+		sep = sepbit.New(cfg.ExportedPages())
 	default:
 		return nil, fmt.Errorf("sim: unknown scheme %q", scheme)
 	}
-}
-
-// BuildPHFTLWithPolicy constructs PHFTL under an alternative victim policy
-// (for the Adjusted Greedy ablation). policy is "adjusted", "greedy" or
-// "costbenefit".
-func BuildPHFTLWithPolicy(geo nand.Geometry, opts core.Options, policy string) (*Instance, error) {
-	if policy == "adjusted" {
-		f, p, err := core.Build(geo, opts)
-		if err != nil {
+	policy := adjusted
+	switch s.Policy {
+	case "":
+		if policy == nil {
+			policy = ftl.CostBenefitPolicy{}
+		}
+	case "adjusted":
+		if policy == nil {
+			return nil, fmt.Errorf("sim: policy %q needs PHFTL's threshold, %s has none", s.Policy, scheme)
+		}
+	case "greedy":
+		policy = ftl.GreedyPolicy{}
+	case "costbenefit":
+		policy = ftl.CostBenefitPolicy{}
+	default:
+		return nil, fmt.Errorf("sim: unknown policy %q", s.Policy)
+	}
+	dev := s.Device
+	if dev == nil {
+		var err error
+		if dev, err = nand.NewDevice(geo); err != nil {
 			return nil, err
 		}
-		return &Instance{Scheme: SchemePHFTL, FTL: f, PHFTL: p}, nil
+	} else {
+		// An injected device means a timing model is watching.
+		cfg.CountHostReads = true
 	}
-	dataPages, metaPages, _ := core.MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
-	cfg := ftl.DefaultConfig(geo)
-	cfg.MetaPagesPerSB = metaPages
-	cfg.MaxGCClass = opts.GCStreams
-	exported := int(float64(geo.Superblocks()*dataPages) / (1 + cfg.OPRatio))
-	p, err := core.New(geo, exported, opts)
+	f, err := ftl.NewWithDevice(cfg, dev, sep, policy)
 	if err != nil {
 		return nil, err
 	}
-	var pol ftl.VictimPolicy
-	switch policy {
-	case "greedy":
-		pol = ftl.GreedyPolicy{}
-	case "costbenefit":
-		pol = ftl.CostBenefitPolicy{}
-	default:
-		return nil, fmt.Errorf("sim: unknown policy %q", policy)
+	if p != nil {
+		p.Attach(f)
 	}
-	f, err := ftl.New(cfg, p, pol)
-	if err != nil {
-		return nil, err
-	}
-	p.Attach(f)
-	return &Instance{Scheme: SchemePHFTL, FTL: f, PHFTL: p}, nil
+	return &Instance{Scheme: scheme, FTL: f, PHFTL: p}, nil
 }
 
 // replayOp drives one page-level operation through the instance. Unmapped
@@ -434,7 +417,7 @@ func (in *Instance) Result(profile string) Result {
 // customizes PHFTL (nil = defaults).
 func RunProfile(p workload.Profile, scheme Scheme, driveWrites int, opts *core.Options) (Result, error) {
 	geo := GeometryForDrive(p.ExportedPages, p.PageSize)
-	in, err := Build(scheme, geo, opts)
+	in, err := Build(scheme, geo, &Spec{PHFTL: opts})
 	if err != nil {
 		return Result{}, err
 	}

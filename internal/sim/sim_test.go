@@ -5,10 +5,11 @@ import (
 	"io"
 	"testing"
 
-	"github.com/phftl/phftl/internal/trace"
-
 	"github.com/phftl/phftl/internal/core"
+	"github.com/phftl/phftl/internal/ftl"
+	"github.com/phftl/phftl/internal/nand"
 	"github.com/phftl/phftl/internal/obs"
+	"github.com/phftl/phftl/internal/trace"
 	"github.com/phftl/phftl/internal/workload"
 )
 
@@ -123,19 +124,107 @@ func TestRunProfileDeterminism(t *testing.T) {
 	})
 }
 
-func TestBuildPHFTLWithPolicy(t *testing.T) {
+// TestBuild drives the one constructor over every scheme with the default
+// spec, a 15% OP and an injected device, plus PHFTL under each victim
+// policy: the FTL exports what its config derives, an injected device sees
+// the programs and charges host reads, and the policy is the one asked for.
+func TestBuild(t *testing.T) {
 	geo := GeometryForDrive(4096, 16384)
-	for _, pol := range []string{"adjusted", "greedy", "costbenefit"} {
-		in, err := BuildPHFTLWithPolicy(geo, core.DefaultOptions(), pol)
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
-		}
-		if in.PHFTL == nil {
-			t.Fatalf("%s: no PHFTL instance", pol)
-		}
+	geoOP := GeometryForDriveOP(4096, 16384, 0.15)
+	type row struct {
+		name       string
+		scheme     Scheme
+		geo        nand.Geometry
+		spec       *Spec
+		programs   *uint64 // counted by the injected device's op hook
+		wantPolicy string
 	}
-	if _, err := BuildPHFTLWithPolicy(geo, core.DefaultOptions(), "nope"); err == nil {
-		t.Error("unknown policy accepted")
+	var rows []row
+	for _, s := range Schemes() {
+		pol := "CostBenefit"
+		if s == SchemePHFTL {
+			pol = "AdjustedGreedy"
+		}
+		var programs uint64
+		dev, err := nand.NewDevice(geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.SetOpHook(func(kind nand.OpKind, _ nand.PPN) {
+			if kind == nand.OpProgram {
+				programs++
+			}
+		})
+		rows = append(rows,
+			row{string(s) + "/nil", s, geo, nil, nil, pol},
+			row{string(s) + "/op0.15", s, geoOP, &Spec{OP: 0.15}, nil, pol},
+			row{string(s) + "/device", s, geo, &Spec{Device: dev}, &programs, pol})
+	}
+	for _, pol := range []struct{ spec, name string }{
+		{"adjusted", "AdjustedGreedy"}, {"greedy", "Greedy"}, {"costbenefit", "CostBenefit"},
+	} {
+		rows = append(rows, row{"PHFTL/" + pol.spec, SchemePHFTL, geo, &Spec{Policy: pol.spec}, nil, pol.name})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			in, err := Build(r.scheme, r.geo, r.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (in.PHFTL != nil) != (r.scheme == SchemePHFTL) {
+				t.Fatalf("PHFTL instance = %v for %s", in.PHFTL, r.scheme)
+			}
+			want := ftl.DefaultConfig(r.geo)
+			if r.spec != nil && r.spec.OP > 0 {
+				want.OPRatio = r.spec.OP
+			}
+			if r.scheme == SchemePHFTL {
+				_, want.MetaPagesPerSB, _ = core.MetaLayout(r.geo.PagesPerSuperblock(), r.geo.PageSize)
+			}
+			cfg := in.FTL.Config()
+			if cfg.OPRatio != want.OPRatio || cfg.MetaPagesPerSB != want.MetaPagesPerSB {
+				t.Errorf("config OP %v meta %d, want %v and %d", cfg.OPRatio, cfg.MetaPagesPerSB, want.OPRatio, want.MetaPagesPerSB)
+			}
+			if got := in.FTL.ExportedPages(); got != want.ExportedPages() || got != cfg.ExportedPages() {
+				t.Errorf("exported %d, want %d (config derives %d)", got, want.ExportedPages(), cfg.ExportedPages())
+			}
+			injected := r.programs != nil
+			if cfg.CountHostReads != injected {
+				t.Errorf("CountHostReads = %v with injected device %v", cfg.CountHostReads, injected)
+			}
+			if got := in.FTL.Policy().Name(); got != r.wantPolicy {
+				t.Errorf("policy %s, want %s", got, r.wantPolicy)
+			}
+			for lpn := 0; lpn < 64; lpn++ {
+				if err := in.FTL.Write(ftl.UserWrite{LPN: nand.LPN(lpn), ReqPages: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := in.FTL.Read(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			dev := in.FTL.Device().Stats()
+			if injected && (*r.programs == 0 || *r.programs != dev.Programs) {
+				t.Errorf("op hook saw %d programs, device made %d", *r.programs, dev.Programs)
+			}
+			if charged := dev.Reads > 0; charged != injected {
+				t.Errorf("host read charged as a flash read: %v, with injected device %v", charged, injected)
+			}
+		})
+	}
+	for _, c := range []struct {
+		scheme Scheme
+		spec   *Spec
+	}{
+		{"Nope", &Spec{Policy: "greedy"}},
+		{SchemePHFTL, &Spec{Policy: "nope"}},
+		{SchemeBase, &Spec{Policy: "nope"}},
+		{SchemeBase, &Spec{Policy: "adjusted"}},
+		{SchemeSepBIT, &Spec{Policy: "adjusted"}},
+	} {
+		if _, err := Build(c.scheme, geo, c.spec); err == nil {
+			t.Errorf("Build(%s, %+v) accepted", c.scheme, *c.spec)
+		}
 	}
 }
 
@@ -148,7 +237,7 @@ func TestGCPolicyPerturbationFlagged(t *testing.T) {
 	const id, dw = "#326", 4
 	p, _ := workload.ProfileByID(id)
 	series := func(policy string) []obs.Sample {
-		in, err := BuildPHFTLWithPolicy(GeometryForDrive(p.ExportedPages, p.PageSize), core.DefaultOptions(), policy)
+		in, err := Build(SchemePHFTL, GeometryForDrive(p.ExportedPages, p.PageSize), &Spec{Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +360,7 @@ func TestOPSweepMonotone(t *testing.T) {
 	prev := -1.0
 	for i, op := range []float64{0.07, 0.15, 0.28} {
 		geo := GeometryForDriveOP(p.ExportedPages, p.PageSize, op)
-		in, err := BuildOP(SchemeBase, geo, op, nil)
+		in, err := Build(SchemeBase, geo, &Spec{OP: op})
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
 		}
