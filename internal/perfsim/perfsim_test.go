@@ -2,6 +2,7 @@ package perfsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/phftl/phftl/internal/nand"
@@ -286,23 +287,52 @@ func TestPhase2LatencyDistribution(t *testing.T) {
 	}
 }
 
-func TestExpandRequests(t *testing.T) {
-	recs := []trace.Record{
-		{Op: trace.OpWrite, Offset: 0, Size: 16384 * 2},
-		{Op: trace.OpWrite, Offset: 16384 * 2, Size: 16384}, // sequential
-		{Op: trace.OpRead, Offset: 0, Size: 16384},
+// TestMachineRoutesTrims replays a trim twin through both phases: every
+// discard the generator emitted for a mapped page reaches FTL.Trim (counted
+// against a replay of the same records over a mapped-LPN table), and a trim
+// costs only a zero-page command.
+func TestMachineRoutesTrims(t *testing.T) {
+	p, ok := workload.ProfileByID("#52T")
+	if !ok {
+		t.Fatal("no profile")
 	}
-	reqs := expandRequests(recs, 16384, 100)
-	if len(reqs) != 3 {
-		t.Fatalf("reqs = %d", len(reqs))
+	p.ExportedPages = 2048
+	tm := DefaultTiming()
+	m, err := NewMachine(sim.SchemeBase, sim.GeometryForDrive(p.ExportedPages, p.PageSize), tm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(reqs[0].lpns) != 2 || reqs[0].seq {
-		t.Errorf("req0 = %+v", reqs[0])
+	gen := p.NewGenerator()
+	load, tail := gen.Records(2*p.ExportedPages), gen.Records(p.ExportedPages/2)
+	if _, err := m.RunPhase1(load, p.PageSize, 8); err != nil {
+		t.Fatal(err)
 	}
-	if !reqs[1].seq {
-		t.Error("req1 should be sequential")
+	if _, err := m.RunPhase2(tail, p.PageSize); err != nil {
+		t.Fatal(err)
 	}
-	if reqs[2].write {
-		t.Error("req2 should be a read")
+	exported := m.In.FTL.ExportedPages()
+	mapped := make([]bool, exported)
+	var want uint64
+	for _, op := range trace.Expand(slices.Concat(load, tail), p.PageSize, exported) {
+		switch {
+		case op.Write:
+			mapped[op.LPN] = true
+		case op.Trim && mapped[op.LPN]:
+			mapped[op.LPN] = false
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("the trim twin discarded no mapped page")
+	}
+	if got := m.In.FTL.Stats().Trims; got != want {
+		t.Errorf("FTL trims = %d, want the %d mapped pages the generator discarded", got, want)
+	}
+	lat, err := m.TrimRequest([]nand.LPN{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat != tm.CmdNS+tm.CompletionNS {
+		t.Errorf("trim latency %d ns, want the %d ns of a zero-page command", lat, tm.CmdNS+tm.CompletionNS)
 	}
 }
