@@ -5,8 +5,11 @@ GO ?= go
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
 check: vet build race allocs fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check results-check bench-quick
 
+## vet also type-checks the tree for arm64, so the pure-Go kernels (and the
+## stubs that stand in for the amd64 assembly) keep compiling off amd64.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...

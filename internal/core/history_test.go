@@ -186,7 +186,7 @@ func TestHistoryMatchesEncode(t *testing.T) {
 		if p.examplesSeen != seen || len(p.examples) != len(refEx) {
 			t.Fatalf("seqLen %d: reservoir saw %d kept %d, want %d and %d", seqLen, p.examplesSeen, len(p.examples), seen, len(refEx))
 		}
-		p.decodeExamples()
+		p.decodeExamples(false, 0)
 		for i, want := range refEx {
 			if got := p.exampleSeq(i); !sameBits(got, want) {
 				t.Fatalf("seqLen %d: example %d = %v, want %v", seqLen, i, got, want)

@@ -584,8 +584,16 @@ func (p *PHFTL) addExample(lpn uint32, lifetime float64, censored bool) {
 	p.examples[slot] = example{rows: rows, lifetime: lifetime, censored: censored}
 }
 
-// decodeExamples expands every kept example's packed rows into exSeqs.
-func (p *PHFTL) decodeExamples() {
+// decodeExamples expands into exSeqs the packed rows of the kept examples
+// whose censored flag equals censored and whose lifetime is at least
+// minLife. The window end calls it for what it reads: the resolved examples
+// the threshold probes score, then the censored ones labelling keeps. The
+// arena is sized by the reservoir's capacity, which append grows
+// geometrically. Sized by the window's example count instead, it was
+// reallocated whenever a window outgrew every earlier one: on #144 at
+// 32 768 pages that took 4× the allocation per replayed page and 2× the
+// peak RSS.
+func (p *PHFTL) decodeExamples(censored bool, minLife float64) {
 	seqLen := p.opts.SeqLen
 	if need := cap(p.examples) * seqLen; len(p.exSeqs) < need {
 		flat := make([]float64, need*InputDim)
@@ -595,14 +603,18 @@ func (p *PHFTL) decodeExamples() {
 		}
 	}
 	for i := range p.examples {
-		for r := i * seqLen; r < i*seqLen+p.examples[i].rows; r++ {
+		ex := &p.examples[i]
+		if ex.censored != censored || ex.lifetime < minLife {
+			continue
+		}
+		for r := i * seqLen; r < i*seqLen+ex.rows; r++ {
 			unpackRow(p.exSeqs[r], p.exRows[r*rowBytes:(r+1)*rowBytes])
 		}
 	}
 }
 
-// exampleSeq is example i's decoded history, oldest first (valid after
-// decodeExamples until the next window's).
+// exampleSeq is example i's decoded history, oldest first (valid after the
+// decodeExamples call that covers it, until the next window's).
 func (p *PHFTL) exampleSeq(i int) [][]float64 {
 	lo := i * p.opts.SeqLen
 	hi := lo + p.examples[i].rows
@@ -630,7 +642,7 @@ func (p *PHFTL) endWindow(now uint64) {
 		}
 		p.addExample(lpn, elapsed, true)
 	}
-	p.decodeExamples()
+	p.decodeExamples(false, 0)
 
 	// Threshold probes rank candidates on *resolved* lifetime samples only:
 	// censored pages (mostly long-living bulk data) would flood the
@@ -669,6 +681,7 @@ func (p *PHFTL) endWindow(now uint64) {
 	}
 
 	if p.threshold > 0 {
+		p.decodeExamples(true, p.threshold)
 		labeled := p.sampleBuf[:0]
 		for i := range p.examples {
 			ex := &p.examples[i]

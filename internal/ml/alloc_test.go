@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -116,30 +117,39 @@ func TestQuantizeHiddenZeroAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkPredictStep times one inference step per family at a narrow input
+// and at the production shape (InputDim 20 → Hidden 32), on the AVX2 kernels
+// and on the Go loops.
 func BenchmarkPredictStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	families := []struct {
-		name string
-		m    *Net
-	}{
-		{"gru", NewGRUNet(8, 32, 2, rng)},
-		{"gru-quantized", NewGRUNet(8, 32, 2, rng).QuantizeModel()},
-		{"lstm", NewLSTMNet(8, 32, 2, rng)},
-		{"mlp", NewMLPNet(8, 32, 2, rng)},
-	}
-	for _, tc := range families {
-		b.Run(tc.name, func(b *testing.B) {
-			m := tc.m
-			x := make([]float64, 8)
-			for i := range x {
-				x[i] = rng.Float64()
+	for _, in := range []int{8, 20} {
+		rng := rand.New(rand.NewSource(3))
+		families := []struct {
+			name string
+			m    *Net
+		}{
+			{"gru", NewGRUNet(in, 32, 2, rng)},
+			{"gru-quantized", NewGRUNet(in, 32, 2, rng).QuantizeModel()},
+			{"lstm", NewLSTMNet(in, 32, 2, rng)},
+			{"mlp", NewMLPNet(in, 32, 2, rng)},
+		}
+		x := make([]float64, in)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		for _, tc := range families {
+			for _, path := range kernelPaths {
+				b.Run(fmt.Sprintf("%s-%dx32/%s", tc.name, in, path.name), func(b *testing.B) {
+					m := tc.m
+					state := make([]float64, m.StateSize())
+					b.ReportAllocs()
+					withPath(b, path.simd, func() {
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							_ = m.PredictInto(state, x, state)
+						}
+					})
+				})
 			}
-			state := make([]float64, m.StateSize())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = m.PredictInto(state, x, state)
-			}
-		})
+		}
 	}
 }

@@ -31,38 +31,45 @@ func randSeq(rng *rand.Rand, steps, dim int) [][]float64 {
 // TestGradientCheck verifies each cell's hand-written backpropagation
 // through time, and the shared head's, against central differences on every
 // parameter tensor. This is the load-bearing correctness test for the whole
-// training stack.
+// training stack. It runs at a tiny shape, which the Go loops compute, and at
+// the production shape (InputDim 20 → Hidden 32, the "-20x32" subtests),
+// which the AVX2 kernels compute where the host has them.
 func TestGradientCheck(t *testing.T) {
-	for _, tc := range cells {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			n := tc.make(3, 4, 2, rng)
-			seq := randSeq(rng, 4, 3)
-			const label = 1
-			// A first pass leaves the reused trace arena and backward
-			// buffers dirty, as every sample after the first finds them.
-			n.AccumulateGradients(seq, label)
-			n.ZeroGrad()
-			n.AccumulateGradients(seq, label)
-			probe := n.CloneModel()
-			for ti, tensor := range n.Params() {
-				pt := probe.Params()[ti]
-				for idx := 0; idx < len(tensor.Data); idx += 3 { // every 3rd element
-					const eps = 1e-5
-					orig := pt.Data[idx]
-					pt.Data[idx] = orig + eps
-					plus := probe.AccumulateGradients(seq, label)
-					pt.Data[idx] = orig - eps
-					minus := probe.AccumulateGradients(seq, label)
-					pt.Data[idx] = orig
-					want := (plus - minus) / (2 * eps)
-					got := tensor.Grad[idx]
-					if diff := math.Abs(got - want); diff > 1e-6+1e-4*math.Abs(want) {
-						t.Fatalf("param %d elem %d: analytic %g vs numeric %g (diff %g)", ti, idx, got, want, diff)
+	for _, shape := range []struct {
+		suffix     string
+		in, hidden int
+	}{{"", 3, 4}, {"-20x32", 20, 32}} {
+		for _, tc := range cells {
+			t.Run(tc.name+shape.suffix, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(7))
+				n := tc.make(shape.in, shape.hidden, 2, rng)
+				seq := randSeq(rng, 4, shape.in)
+				const label = 1
+				// A first pass leaves the reused trace arena and backward
+				// buffers dirty, as every sample after the first finds them.
+				n.AccumulateGradients(seq, label)
+				n.ZeroGrad()
+				n.AccumulateGradients(seq, label)
+				probe := n.CloneModel()
+				for ti, tensor := range n.Params() {
+					pt := probe.Params()[ti]
+					for idx := 0; idx < len(tensor.Data); idx += 3 { // every 3rd element
+						const eps = 1e-5
+						orig := pt.Data[idx]
+						pt.Data[idx] = orig + eps
+						plus := probe.AccumulateGradients(seq, label)
+						pt.Data[idx] = orig - eps
+						minus := probe.AccumulateGradients(seq, label)
+						pt.Data[idx] = orig
+						want := (plus - minus) / (2 * eps)
+						got := tensor.Grad[idx]
+						if diff := math.Abs(got - want); diff > 1e-6+1e-4*math.Abs(want) {
+							t.Fatalf("param %d elem %d: analytic %g vs numeric %g (diff %g)", ti, idx, got, want, diff)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

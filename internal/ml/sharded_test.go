@@ -147,3 +147,37 @@ func TestShardedTrainerReuseAcrossWindows(t *testing.T) {
 		requireSameWeights(t, weightsBits(mFresh), weightsBits(mReused), "trainer reuse")
 	}
 }
+
+// TestShardedTrainerSIMDMatchesGo trains each cell at the production shape
+// (InputDim 20 → Hidden 32) over several windows with one reused trainer,
+// once on the AVX2 kernels and once on the Go loops, and requires
+// bit-identical losses and weights after every window.
+func TestShardedTrainerSIMDMatchesGo(t *testing.T) {
+	const dim, hidden, windows = 20, 32, 3
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			var losses [2][windows]uint64
+			var weights [2][windows][][]uint64
+			for i, simd := range []bool{false, true} {
+				withPath(t, simd, func() {
+					m := tc.make(dim, hidden, NumClassesDefault, rand.New(rand.NewSource(7)))
+					tr := NewShardedTrainer(4)
+					opt := NewAdam(0.01)
+					for w := 0; w < windows; w++ {
+						samples := shardedTestSamples(96, dim, int64(200+w))
+						cfg := TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: int64(w)}
+						losses[i][w] = math.Float64bits(tr.Train(m, samples, opt, cfg))
+						weights[i][w] = weightsBits(m)
+					}
+				})
+			}
+			for w := 0; w < windows; w++ {
+				label := fmt.Sprintf("window %d: SIMD vs Go", w)
+				if losses[0][w] != losses[1][w] {
+					t.Fatalf("%s: loss %#x != %#x", label, losses[1][w], losses[0][w])
+				}
+				requireSameWeights(t, weights[0][w], weights[1][w], label)
+			}
+		})
+	}
+}

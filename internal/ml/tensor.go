@@ -74,9 +74,30 @@ func (t *Tensor) String() string { return fmt.Sprintf("Tensor(%dx%d)", t.Rows, t
 // The kernels below re-slice their vector operands to the exact loop extent
 // before the hot loops: the compiler's prove pass then eliminates the inner
 // bounds checks, which matters because training spends most of its time here.
-// Summation order within every dot product is strictly sequential and must
-// stay that way — reassociating (multiple accumulators, SIMD-style blocking)
-// would change rounding and break the simulator's determinism guarantees.
+//
+// Determinism: every output element is computed by one fixed chain of
+// correctly rounded operations — a product, then an add onto that element's
+// own accumulator, in ascending index order from the same starting value — and
+// so is bit-identical on every run and every path. Computing several
+// independent outputs at once (paired rows here, one output per vector lane
+// in simd_amd64.s) keeps each chain intact and is allowed. Reassociating a
+// chain (split accumulators, horizontal sums), fusing its multiply and add
+// into an FMA, or dropping a zero-gradient-row skip (-0 plus a +0 product is
+// +0, and 0·Inf is NaN) would change results and is not allowed.
+//
+// Where useSIMD is on, a kernel runs its AVX2 form when the dimensions that
+// form vectorises are positive multiples of 4: the rows and both column
+// counts of matVec2/matVecPair, the column count of matTVecAdd and the
+// outer-product kernels. Every other shape, and every other architecture,
+// runs the Go loop.
+
+// quad reports whether a dimension is a positive multiple of 4, the only
+// extents the AVX2 kernels take.
+func quad(v int) bool { return v > 0 && v&3 == 0 }
+
+// base returns &s[0] after checking that s holds n elements, the bounds check
+// the assembly kernels do not make.
+func base(s []float64, n int) *float64 { return &s[:n][0] }
 
 // matVec computes out = W*x for W (m×n), x (n), out (m).
 func matVec(w *Tensor, x, out []float64) {
@@ -107,6 +128,11 @@ func matVec2(w1, w2, u1, u2 *Tensor, x, h, out1, out2 []float64) {
 	h = h[:k]
 	out1 = out1[:rows]
 	out2 = out2[:rows]
+	if useSIMD && quad(rows) && quad(n) && quad(k) {
+		matVec2AVX2(base(w1.Data, rows*n), base(w2.Data, rows*n), base(u1.Data, rows*k), base(u2.Data, rows*k),
+			&x[0], &h[0], &out1[0], &out2[0], rows, n, k)
+		return
+	}
 	r := 0
 	for ; r+2 <= rows; r += 2 {
 		w1a := w1.Data[r*n : r*n+n]
@@ -164,6 +190,20 @@ func matVecPair(w, u *Tensor, x, h, out []float64) {
 	x = x[:n]
 	h = h[:k]
 	out = out[:rows]
+	if useSIMD && quad(rows) && quad(n) && quad(k) {
+		// The AVX2 kernel is matVec2's: it takes the top and bottom halves
+		// of w and u as its two pairs, or, with an odd number of 4-row
+		// blocks, the whole pair twice (each output is written twice with
+		// the same bits).
+		wd, ud := base(w.Data, rows*n), base(u.Data, rows*k)
+		if rows%8 == 0 {
+			half := rows / 2
+			matVec2AVX2(wd, &w.Data[half*n], ud, &u.Data[half*k], &x[0], &h[0], &out[0], &out[half], half, n, k)
+		} else {
+			matVec2AVX2(wd, wd, ud, ud, &x[0], &h[0], &out[0], &out[0], rows, n, k)
+		}
+		return
+	}
 	r := 0
 	for ; r+2 <= rows; r += 2 {
 		wa := w.Data[r*n : r*n+n]
@@ -209,6 +249,10 @@ func matTVecAdd(w *Tensor, g, out []float64) {
 	n := w.Cols
 	g = g[:w.Rows]
 	out = out[:n]
+	if useSIMD && w.Rows > 0 && quad(n) {
+		matTVecAddAVX2(base(w.Data, w.Rows*n), &g[0], &out[0], w.Rows, n)
+		return
+	}
 	data := w.Data
 	c := 0
 	for ; c+8 <= n; c += 8 {
@@ -262,6 +306,10 @@ func outerAddGrad(w *Tensor, g, x []float64) {
 	n := w.Cols
 	g = g[:w.Rows]
 	x = x[:n]
+	if useSIMD && w.Rows > 0 && quad(n) {
+		outerAddGradAVX2(base(w.Grad, w.Rows*n), &g[0], &x[0], w.Rows, n)
+		return
+	}
 	for r, gr := range g {
 		if gr == 0 {
 			continue
@@ -282,6 +330,11 @@ func outerAddGrad2(w1, w2 *Tensor, g1, g2, x []float64) {
 	g1 = g1[:w1.Rows]
 	g2 = g2[:w1.Rows]
 	x = x[:n]
+	if useSIMD && w1.Rows > 0 && quad(n) {
+		outerAddGradAVX2(base(w1.Grad, w1.Rows*n), &g1[0], &x[0], w1.Rows, n)
+		outerAddGradAVX2(base(w2.Grad, w1.Rows*n), &g2[0], &x[0], w1.Rows, n)
+		return
+	}
 	for r, gr1 := range g1 {
 		gr2 := g2[r]
 		grow1 := w1.Grad[r*n : r*n+n]

@@ -164,21 +164,30 @@ func BenchmarkGRUStep(b *testing.B) {
 	}
 }
 
+// BenchmarkGRUTrainSample times one training pass over one 8-step sample at
+// the production shape (InputDim 20 → Hidden 32), on the AVX2 kernels and on
+// the Go loops.
 func BenchmarkGRUTrainSample(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := NewGRUNet(20, 32, 2, rng)
-	opt := NewAdam(0.01)
-	seq := make([][]float64, 8)
-	for i := range seq {
-		seq[i] = make([]float64, 20)
-		for j := range seq[i] {
-			seq[i][j] = rng.Float64()
-		}
-	}
-	samples := []Sample{{Seq: seq, Label: 1}}
-	cfg := DefaultTrainConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TrainModel(n, samples, opt, cfg)
+	for _, path := range kernelPaths {
+		b.Run("20x32/"+path.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			n := NewGRUNet(20, 32, 2, rng)
+			opt := NewAdam(0.01)
+			seq := make([][]float64, 8)
+			for i := range seq {
+				seq[i] = make([]float64, 20)
+				for j := range seq[i] {
+					seq[i][j] = rng.Float64()
+				}
+			}
+			samples := []Sample{{Seq: seq, Label: 1}}
+			cfg := DefaultTrainConfig()
+			withPath(b, path.simd, func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					TrainModel(n, samples, opt, cfg)
+				}
+			})
+		})
 	}
 }
