@@ -167,11 +167,13 @@ fmt:
 	fi
 
 ## bench: the perf-critical microbenchmark suite — replay write path (cold
-## and steady-state), model inference step, and GC victim selection — with
+## and steady-state), model inference step, a serial training pass (µs per
+## example, AVX2 and Go reference kernels) and GC victim selection — with
 ## allocation counts, so the zero-allocation invariant is visible.
 bench:
 	$(GO) test -bench 'BenchmarkWritePath' -benchtime=200000x -count=3 -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkPredictStep' -benchmem -run '^$$' ./internal/ml
+	$(GO) test -bench 'BenchmarkGRUTrain' -run '^$$' ./internal/ml
 	$(GO) test -bench 'BenchmarkSelectVictim' -benchmem -run '^$$' ./internal/ftl
 
 ## bench-quick: the end-to-end benchmark harness (bench/README.md) on

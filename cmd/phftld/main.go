@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	phftld serve [-listen :9090] [-workers 8] [-journal queue.jsonl]
-//	             [-stagger 500ms] [-max-restarts 1] [-dw 2]
+//	phftld serve [-listen :9090] [-workers 8] [-journal queue.jsonl] [-dw 2]
 //
 // Control plane (see internal/obs/httpd for the full endpoint list):
 //
@@ -48,8 +47,6 @@ func run(args []string) int {
 	listen := fs.String("listen", ":9090", "HTTP listen address (host:port; :0 picks a free port)")
 	workers := fs.Int("workers", 0, "worker-pool size: cells running concurrently (0 = GOMAXPROCS)")
 	journal := fs.String("journal", "", "JSONL queue journal: submissions and terminal states are appended here, and pending cells resume on restart (empty = no persistence)")
-	stagger := fs.Duration("stagger", 0, "delay between consecutive cell dispatches (ramps a submission burst up gradually)")
-	maxRestarts := fs.Int("max-restarts", 1, "times a failed cell is re-queued before being marked failed")
 	defaultDW := fs.Int("dw", 1, "drive writes for submissions that omit drive_writes")
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2
@@ -60,8 +57,6 @@ func run(args []string) int {
 		Workers:            *workers,
 		Registry:           reg,
 		JournalPath:        *journal,
-		Stagger:            *stagger,
-		MaxRestarts:        *maxRestarts,
 		DefaultDriveWrites: *defaultDW,
 	})
 	if err != nil {

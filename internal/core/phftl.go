@@ -342,9 +342,6 @@ func (p *PHFTL) Stats() Stats { return p.stats }
 // MetaStats returns metadata-cache statistics (§V-B hit-rate claim).
 func (p *PHFTL) MetaStats() MetaStats { return p.meta.Stats() }
 
-// Meta exposes the metadata store (observability wiring and tests).
-func (p *PHFTL) Meta() *MetaStore { return p.meta }
-
 // SetRecorder installs a trace-event recorder on the scheme and its
 // metadata store. clockFn supplies the virtual clock for metadata-cache
 // events (the FTL's Clock method; nil stamps 0).

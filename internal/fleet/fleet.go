@@ -8,9 +8,11 @@
 //	POST /api/v1/cells/{name}/cancel -> CancelCell (context-based, cooperative)
 //	GET  /api/v1/fleet               -> registry.FleetWA over the cells it ran
 //
-// Lifecycle per cell: queued -> running -> done | failed | cancelled, with a
-// bounded restart policy in between (a failed cell re-queues up to
-// MaxRestarts times before going terminal). Submissions append to a JSONL
+// Lifecycle per cell: queued -> running -> done | failed | cancelled. A
+// failure is terminal at once: every error a cell can return is
+// deterministic (unknown traces are refused at submission, build and replay
+// errors repeat identically, cancellation is its own outcome), so a retry
+// would only replay it. Submissions append to a JSONL
 // queue journal; on restart, cells without a journaled terminal state are
 // re-registered and re-enqueued, so a killed service resumes its pending work
 // — and, the simulations being deterministic, produces the results the
@@ -25,7 +27,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/phftl/phftl/internal/obs/httpd"
 	"github.com/phftl/phftl/internal/obs/registry"
@@ -46,13 +47,6 @@ type Config struct {
 	// as JSONL; New replays it so pending cells survive a restart. Empty runs
 	// journal-less (submissions die with the process).
 	JournalPath string
-	// Stagger inserts a delay between consecutive dispatches, so a burst of
-	// submissions ramps the pool up gradually instead of thundering onto the
-	// allocator at once.
-	Stagger time.Duration
-	// MaxRestarts bounds the restart policy: a cell that fails is re-queued
-	// at most this many times before being journaled failed.
-	MaxRestarts int
 	// DefaultDriveWrites fills a submission's zero DriveWrites (<= 0 means 1).
 	DefaultDriveWrites int
 
@@ -74,7 +68,6 @@ type entry struct {
 	// finalState holds a journal-replayed terminal state between loadJournal
 	// and the registry registration that applies it.
 	finalState registry.State
-	restarts   int
 	out        runner.Output
 }
 
@@ -301,10 +294,9 @@ func (s *Supervisor) Shutdown() {
 	}
 }
 
-// dispatch feeds pending entries to the pool, one every Stagger.
+// dispatch feeds pending entries to the pool in submission order.
 func (s *Supervisor) dispatch() {
 	defer close(s.dispatchDone)
-	first := true
 	for {
 		s.mu.Lock()
 		for len(s.pendingQ) == 0 && !s.closed {
@@ -321,21 +313,13 @@ func (s *Supervisor) dispatch() {
 		if skip {
 			continue
 		}
-		if !first && s.cfg.Stagger > 0 {
-			select {
-			case <-s.baseCtx.Done():
-				return
-			case <-time.After(s.cfg.Stagger):
-			}
-		}
-		first = false
 		s.pool.Submit(func() { s.runEntry(en) })
 	}
 }
 
 // runEntry executes one cell on a pool worker and classifies the outcome:
-// done, cancelled (user cancel), re-queued (failure within the restart
-// budget, or a shutdown interruption), or failed.
+// done, cancelled (user cancel), re-queued (a shutdown interruption), or
+// failed.
 func (s *Supervisor) runEntry(en *entry) {
 	s.mu.Lock()
 	if en.terminal || s.closed {
@@ -370,15 +354,8 @@ func (s *Supervisor) runEntry(en *entry) {
 			en.rc.SetState(registry.StateQueued)
 		}
 	default:
-		if en.restarts < s.cfg.MaxRestarts {
-			en.restarts++
-			en.rc.SetState(registry.StateQueued)
-			s.pendingQ = append(s.pendingQ, en)
-			s.cond.Broadcast()
-		} else {
-			en.out = out
-			s.finishLocked(en, registry.StateFailed)
-		}
+		en.out = out
+		s.finishLocked(en, registry.StateFailed)
 	}
 }
 

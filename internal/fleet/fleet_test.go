@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,8 +215,8 @@ func TestCancelWhileRunning(t *testing.T) {
 // Finish, which a cancelled or failed replay never reached (+3 goroutines per
 // attempt). They now live inside one training pass (and the threshold probes
 // inside one Pick), so the process returns to its pre-submit goroutine count
-// whether the cell is cancelled mid-replay or fails its way through the
-// restart policy. GOMAXPROCS 4 gives the default trainer all four lanes.
+// whether the cell is cancelled mid-replay or fails. GOMAXPROCS 4 gives the
+// default trainer all four lanes.
 func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	// A replay that cannot finish inside its deadline fails with
@@ -246,7 +244,7 @@ func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
 		{"failed", timeoutExec, false, registry.StateFailed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newSupervisor(t, Config{Workers: 1, MaxRestarts: 1, exec: tc.exec})
+			s := newSupervisor(t, Config{Workers: 1, exec: tc.exec})
 			s.Start()
 			before := runtime.NumGoroutine()
 			name, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "PHFTL", DriveWrites: 100000})
@@ -263,6 +261,9 @@ func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
 			s.Drain()
 			if st := s.cfg.Registry.Cell(name).State(); st != tc.want {
 				t.Fatalf("state = %v, want %v", st, tc.want)
+			}
+			if out, ok := s.Output(name); !ok || out.Err == nil {
+				t.Fatalf("terminal output = %+v, %v; want the replay's error", out, ok)
 			}
 			// Drain can return a moment before the worker has unwound.
 			waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
@@ -288,54 +289,6 @@ func TestCancelQueued(t *testing.T) {
 	s.Drain() // returns immediately: nothing outstanding
 	if _, ok := s.Output(name); !ok {
 		t.Fatal("cancelled cell has no terminal output record")
-	}
-}
-
-// TestRestartPolicy pins the bounded restart loop: failures within the budget
-// re-queue and eventually succeed; failures beyond it go terminal failed.
-func TestRestartPolicy(t *testing.T) {
-	var attempts atomic.Int32
-	flaky := func(ctx context.Context, spec httpd.CellSpec, rc *registry.Cell) (runner.Output, error) {
-		if attempts.Add(1) <= 2 {
-			return runner.Output{}, errors.New("transient fault")
-		}
-		return smallExec(ctx, spec, rc)
-	}
-	s := newSupervisor(t, Config{Workers: 1, MaxRestarts: 3, exec: flaky})
-	name, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "Base", DriveWrites: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	s.Drain()
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (2 failures + 1 success)", got)
-	}
-	if st := s.cfg.Registry.Cell(name).State(); st != registry.StateDone {
-		t.Fatalf("state = %v, want done after restarts", st)
-	}
-
-	attempts.Store(0)
-	hopeless := func(context.Context, httpd.CellSpec, *registry.Cell) (runner.Output, error) {
-		attempts.Add(1)
-		return runner.Output{}, errors.New("permanent fault")
-	}
-	s2 := newSupervisor(t, Config{Workers: 1, MaxRestarts: 1, exec: hopeless})
-	name2, err := s2.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "Base", DriveWrites: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Start()
-	s2.Drain()
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("attempts = %d, want 2 (1 + 1 restart)", got)
-	}
-	if st := s2.cfg.Registry.Cell(name2).State(); st != registry.StateFailed {
-		t.Fatalf("state = %v, want failed after exhausted restarts", st)
-	}
-	out, ok := s2.Output(name2)
-	if !ok || out.Err == nil || !strings.Contains(out.Err.Error(), "permanent fault") {
-		t.Fatalf("failed output = %+v, %v", out, ok)
 	}
 }
 
@@ -445,27 +398,5 @@ func TestJournalTornFinalLine(t *testing.T) {
 	}
 	if _, err := New(Config{Registry: registry.New(), JournalPath: journal}); err == nil {
 		t.Fatal("journal with an unparsable interior line accepted")
-	}
-}
-
-// TestStagger pins that dispatches are spaced by at least the configured
-// stagger (one interval between the first and second cell).
-func TestStagger(t *testing.T) {
-	var times [2]time.Time
-	var idx atomic.Int32
-	exec := func(context.Context, httpd.CellSpec, *registry.Cell) (runner.Output, error) {
-		times[idx.Add(1)-1] = time.Now()
-		return runner.Output{}, nil
-	}
-	s := newSupervisor(t, Config{Workers: 2, Stagger: 50 * time.Millisecond, exec: exec})
-	for _, tr := range []string{"#52", "#144"} {
-		if _, err := s.SubmitCell(httpd.CellSpec{Trace: tr, Scheme: "Base"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Start()
-	s.Drain()
-	if gap := times[1].Sub(times[0]); gap < 40*time.Millisecond {
-		t.Fatalf("dispatch gap %v, want >= ~50ms stagger", gap)
 	}
 }

@@ -275,9 +275,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the exact (unbucketed) sum of the recorded samples.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// BucketWidth returns the width of each bucket.
-func (h *Histogram) BucketWidth() float64 { return h.width }
-
 // AppendBuckets appends the per-bucket counts (not cumulative) to dst and
 // returns it. Bucket i covers [i·width, (i+1)·width); the final bucket also
 // absorbs every overflow sample. Exposition layers (the Prometheus /metrics

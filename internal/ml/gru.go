@@ -135,8 +135,10 @@ func (g *gruCell) backward(dh []float64) {
 			dhPrev[i] += drh[i] * r
 			daR[i] = drh[i] * tr.hPrev[i] * r * (1 - r)
 		}
-		outerAddGrad2(g.Wz, g.Wr, daZ, daR, tr.x)
-		outerAddGrad2(g.Uz, g.Ur, daZ, daR, tr.hPrev)
+		outerAddGrad(g.Wz, daZ, tr.x)
+		outerAddGrad(g.Wr, daR, tr.x)
+		outerAddGrad(g.Uz, daZ, tr.hPrev)
+		outerAddGrad(g.Ur, daR, tr.hPrev)
 		addGrad(g.Bz, daZ)
 		addGrad(g.Br, daR)
 		matTVecAdd(g.Uz, daZ, dhPrev)

@@ -160,10 +160,14 @@ func (l *lstmCell) backward(dh []float64) {
 			daO[k] = do * tr.o[k] * (1 - tr.o[k])
 			daG[k] = dg * (1 - tr.g[k]*tr.g[k])
 		}
-		outerAddGrad2(l.Wi, l.Wf, daI, daF, tr.x)
-		outerAddGrad2(l.Wo, l.Wg, daO, daG, tr.x)
-		outerAddGrad2(l.Ui, l.Uf, daI, daF, tr.hPrev)
-		outerAddGrad2(l.Uo, l.Ug, daO, daG, tr.hPrev)
+		outerAddGrad(l.Wi, daI, tr.x)
+		outerAddGrad(l.Wf, daF, tr.x)
+		outerAddGrad(l.Wo, daO, tr.x)
+		outerAddGrad(l.Wg, daG, tr.x)
+		outerAddGrad(l.Ui, daI, tr.hPrev)
+		outerAddGrad(l.Uf, daF, tr.hPrev)
+		outerAddGrad(l.Uo, daO, tr.hPrev)
+		outerAddGrad(l.Ug, daG, tr.hPrev)
 		addGrad(l.Bi, daI)
 		addGrad(l.Bf, daF)
 		addGrad(l.Bo, daO)

@@ -95,8 +95,9 @@ func sameBits(t *testing.T, label string, want, got []float64) {
 
 // kernelShapes are the (rows, n, k) shapes the differential test runs: the
 // production GRU and head shapes, random multiples of 4 (the AVX2 kernels'
-// domain, with odd and even numbers of 4-row blocks), and random shapes of
-// which most are not multiples of 4 and must fall back to the Go loops.
+// domain, with odd numbers of 4-row blocks, on which matVecPair falls back,
+// and even ones), and random shapes of which most are not multiples of 4 and
+// must fall back to the Go loops.
 func kernelShapes(rng *rand.Rand) [][3]int {
 	shapes := [][3]int{{32, 20, 32}, {2, 32, 32}, {4, 4, 4}, {12, 8, 16}, {8, 20, 4}}
 	for i := 0; i < 40; i++ {
@@ -120,7 +121,7 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 		x, h := kernelVec(rng, n), kernelVec(rng, k)
 		w1, w2 := kernelTensor(rng, rows, n), kernelTensor(rng, rows, n)
 		u1, u2 := kernelTensor(rng, rows, k), kernelTensor(rng, rows, k)
-		g1, g2 := kernelGrad(rng, rows), kernelGrad(rng, rows)
+		g1 := kernelGrad(rng, rows)
 		if si%5 == 4 { // a whole gradient of -0: every row skipped
 			for i := range g1 {
 				g1[i] = math.Copysign(0, -1)
@@ -154,11 +155,59 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 		run("outerAddGrad", func(a, _ *Tensor, _ []float64) {
 			outerAddGrad(a, g1, x)
 		}, 0)
-		run("outerAddGrad2", func(a, b *Tensor, _ []float64) {
-			outerAddGrad2(a, b, g1, g2, x)
-		}, 0)
 		run("matTVecAdd", func(_, _ *Tensor, out []float64) {
 			matTVecAdd(w1, g1, out)
 		}, n)
+	}
+}
+
+// TestProductionShapesTakeAVX2 holds the production networks — the GRU at
+// 20→32, the LSTM at 20→16 and the MLP at 20→32, each under a 2-class head —
+// to the AVX2 kernels' shape conditions: every matrix that the cells' step
+// and backward pass and the head hand to a kernel must pass that kernel's
+// *Fits predicate, so a width change cannot quietly fall back to the Go
+// loops. The lists mirror the kernel calls in gru.go, lstm.go, mlp.go and
+// model.go; matVec has no AVX2 form.
+func TestProductionShapesTakeAVX2(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []*Net{NewGRUNet(20, 32, 2, rng), NewLSTMNet(20, 16, 2, rng), NewMLPNet(20, 32, 2, rng)} {
+		var pairs, halves [][2]*Tensor  // (w, u) of matVec2 and of matVecPair
+		grads := []*Tensor{n.wout}      // outerAddGrad
+		transposed := []*Tensor{n.wout} // matTVecAdd
+		switch c := n.cell.(type) {
+		case *gruCell:
+			pairs = [][2]*Tensor{{c.Wz, c.Uz}, {c.Wr, c.Ur}}
+			halves = [][2]*Tensor{{c.Wc, c.Uc}}
+			grads = append(grads, c.Wz, c.Wr, c.Wc, c.Uz, c.Ur, c.Uc)
+			transposed = append(transposed, c.Uz, c.Ur, c.Uc)
+		case *lstmCell:
+			pairs = [][2]*Tensor{{c.Wi, c.Ui}, {c.Wf, c.Uf}, {c.Wo, c.Uo}, {c.Wg, c.Ug}}
+			grads = append(grads, c.Wi, c.Wf, c.Wo, c.Wg, c.Ui, c.Uf, c.Uo, c.Ug)
+			transposed = append(transposed, c.Ui, c.Uf, c.Uo, c.Ug)
+		case *mlpCell:
+			grads = append(grads, c.W1)
+		default:
+			t.Fatalf("no kernel list for %T", c)
+		}
+		for _, p := range pairs {
+			if !matVec2Fits(p[0].Rows, p[0].Cols, p[1].Cols) {
+				t.Errorf("%T: matVec2 on %v, %v falls back to the Go loop", n.cell, p[0], p[1])
+			}
+		}
+		for _, p := range halves {
+			if !matVecPairFits(p[0].Rows, p[0].Cols, p[1].Cols) {
+				t.Errorf("%T: matVecPair on %v, %v falls back to the Go loop", n.cell, p[0], p[1])
+			}
+		}
+		for _, w := range grads {
+			if !gradFits(w) {
+				t.Errorf("%T: outerAddGrad on %v falls back to the Go loop", n.cell, w)
+			}
+		}
+		for _, w := range transposed {
+			if !gradFits(w) {
+				t.Errorf("%T: matTVecAdd on %v falls back to the Go loop", n.cell, w)
+			}
+		}
 	}
 }

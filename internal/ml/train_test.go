@@ -164,29 +164,36 @@ func BenchmarkGRUStep(b *testing.B) {
 	}
 }
 
-// BenchmarkGRUTrainSample times one training pass over one 8-step sample at
-// the production shape (InputDim 20 → Hidden 32), on the AVX2 kernels and on
-// the Go loops.
-func BenchmarkGRUTrainSample(b *testing.B) {
+// BenchmarkGRUTrain times one serial ShardedTrainer.Train pass (4 lanes, as
+// PHFTL trains, on one goroutine) over 1 024 eight-step samples at the
+// production shape (InputDim 20 → Hidden 32), on the AVX2 kernels and on the
+// Go reference loops, and reports µs/example.
+func BenchmarkGRUTrain(b *testing.B) {
+	const examples = 1024
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]Sample, examples)
+	for i := range samples {
+		seq := make([][]float64, 8)
+		for j := range seq {
+			seq[j] = make([]float64, 20)
+			for k := range seq[j] {
+				seq[j][k] = rng.Float64()
+			}
+		}
+		samples[i] = Sample{Seq: seq, Label: rng.Intn(2)}
+	}
 	for _, path := range kernelPaths {
 		b.Run("20x32/"+path.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			n := NewGRUNet(20, 32, 2, rng)
+			n := NewGRUNet(20, 32, 2, rand.New(rand.NewSource(1)))
 			opt := NewAdam(0.01)
-			seq := make([][]float64, 8)
-			for i := range seq {
-				seq[i] = make([]float64, 20)
-				for j := range seq[i] {
-					seq[i][j] = rng.Float64()
-				}
-			}
-			samples := []Sample{{Seq: seq, Label: 1}}
-			cfg := DefaultTrainConfig()
+			tr := NewShardedTrainer(4)
+			tr.SetWorkers(1)
 			withPath(b, path.simd, func() {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					TrainModel(n, samples, opt, cfg)
+					tr.Train(n, samples, opt, DefaultTrainConfig())
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*examples), "µs/example")
 			})
 		})
 	}

@@ -59,20 +59,6 @@ func (k OpKind) String() string {
 	}
 }
 
-// Latency holds per-operation service times in nanoseconds, used by timing
-// models layered on top of the functional simulator. Defaults follow typical
-// TLC NAND figures.
-type Latency struct {
-	ReadNS    int64 // page read, e.g. 50 µs
-	ProgramNS int64 // page program, e.g. 600 µs
-	EraseNS   int64 // block erase, e.g. 3 ms
-}
-
-// DefaultLatency returns typical TLC NAND latencies.
-func DefaultLatency() Latency {
-	return Latency{ReadNS: 50_000, ProgramNS: 600_000, EraseNS: 3_000_000}
-}
-
 // Errors returned by device operations.
 var (
 	ErrOutOfRange      = errors.New("nand: address out of range")
@@ -141,7 +127,6 @@ type Device struct {
 	pageShift int
 
 	stats Stats
-	lat   Latency
 	onOp  func(kind OpKind, p PPN)
 
 	// Wear-observability state.
@@ -163,7 +148,6 @@ func NewDevice(geo Geometry) (*Device, error) {
 	}
 	d := &Device{
 		geo:       geo,
-		lat:       DefaultLatency(),
 		state:     make([]PageState, geo.TotalPages()),
 		lpn:       make([]LPN, geo.TotalPages()),
 		blocks:    make([]block, geo.TotalBlocks()),
@@ -188,9 +172,6 @@ func MustNewDevice(geo Geometry) *Device {
 
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geo }
-
-// Latency returns the device's per-operation service times.
-func (d *Device) Latency() Latency { return d.lat }
 
 // SetOpHook installs a callback invoked after every successful flash
 // operation. Timing models use it to charge die service time. For OpErase

@@ -160,9 +160,6 @@ func (c *Cell) SetState(s State) {
 	c.gauges[gState].set(float64(s))
 	now := time.Now().UnixNano()
 	switch s {
-	case StateQueued:
-		// A re-queue (fleet restart policy) reopens the lifecycle window.
-		c.doneNS.Store(0)
 	case StateRunning:
 		c.startNS.CompareAndSwap(0, now)
 	case StateDone, StateFailed, StateCancelled:
