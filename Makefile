@@ -24,7 +24,7 @@ race:
 ## detector's own allocations, so these tests skip under -race and `race`
 ## never runs them; this target runs them without it.
 allocs:
-	$(GO) test -count=1 -run 'ZeroAlloc|BytesCeiling' ./internal/core ./internal/ml ./internal/nand ./internal/obs/httpd ./internal/obs/registry ./internal/par
+	$(GO) test -count=1 -run 'ZeroAlloc|BytesCeiling' ./internal/core ./internal/ml ./internal/nand ./internal/obs ./internal/obs/httpd ./internal/obs/registry ./internal/par
 
 ## loc: the size measure ROADMAP tracks — non-test Go lines outside bench/.
 loc:

@@ -137,11 +137,7 @@ func main() {
 	}
 	fmt.Printf("\n%s", runner.Summary(out.Result, in.FTL))
 
-	o := in.Obs // non-nil whenever a sink, the report or -listen asked for it
-	if o != nil && o.Rec.Dropped() > 0 {
-		fmt.Fprintf(os.Stderr, "warning: bounded event rings overwrote %d of %d events (total bounded capacity %d): only the 1/16-sampled meta-cache kinds are bounded, rare kinds are lossless and per-kind counters stay exact\n",
-			o.Rec.Dropped(), o.Rec.Total(), o.Rec.Capacity())
-	}
+	runner.WarnDropped(os.Stderr, []runner.Output{out})
 	if tel.Sink != nil {
 		if err := obs.WriteJSONL(tel.Sink, "", out.Events, out.Samples); err != nil {
 			fatal(err)
@@ -164,7 +160,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *telemetryCSV)
 	}
 	if *report {
-		fmt.Printf("\n%s", obs.BuildReport(o.Rec, out.Samples))
+		fmt.Printf("\n%s", obs.BuildReport(in.Obs.Rec, out.Samples))
 		if dev := in.FTL.Device(); dev.Stats().Erases > 0 {
 			fmt.Printf("\n%s", runner.WearHeatmap(dev, 48))
 		}

@@ -3,12 +3,12 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
 	"github.com/phftl/phftl/internal/obs/httpd"
 	"github.com/phftl/phftl/internal/obs/registry"
-	"github.com/phftl/phftl/internal/timeseries"
 )
 
 // line is the loose shape of one telemetry JSONL line. Gauge fields are
@@ -41,10 +41,8 @@ type model struct {
 	clock   uint64
 	runSeen string
 
-	intervalWA *timeseries.Ring
-	threshold  *timeseries.Ring
-	cacheHit   *timeseries.Ring
-	wearSkew   *timeseries.Ring
+	// Gauge windows: the newest width observations, oldest first.
+	intervalWA, threshold, cacheHit, wearSkew []float64
 
 	lastCumWA, lastWearCoV float64
 	freeSB                 int
@@ -67,15 +65,19 @@ func newModel(run string, width int) *model {
 	if width < 16 {
 		width = 16
 	}
-	return &model{
-		run:        run,
-		width:      width,
-		intervalWA: timeseries.NewRing(width),
-		threshold:  timeseries.NewRing(width),
-		cacheHit:   timeseries.NewRing(width),
-		wearSkew:   timeseries.NewRing(width),
-		events:     map[string]uint64{},
+	return &model{run: run, width: width, events: map[string]uint64{}}
+}
+
+// push appends v to a gauge window, keeping its newest m.width values. NaN
+// is skipped: a NaN hole would poison the sparkline's min/max scaling.
+func (m *model) push(w []float64, v float64) []float64 {
+	if math.IsNaN(v) {
+		return w
 	}
+	if len(w) == m.width {
+		w = append(w[:0], w[1:]...)
+	}
+	return append(w, v)
 }
 
 // consume folds one raw JSONL line into the model. Blank and unparsable
@@ -110,16 +112,16 @@ func (m *model) apply(l line) {
 	case "sample":
 		m.samples++
 		if l.IntervalWA != nil {
-			m.intervalWA.Push(*l.IntervalWA)
+			m.intervalWA = m.push(m.intervalWA, *l.IntervalWA)
 		}
 		if l.Threshold != nil {
-			m.threshold.Push(*l.Threshold)
+			m.threshold = m.push(m.threshold, *l.Threshold)
 		}
 		if l.CacheHit != nil {
-			m.cacheHit.Push(*l.CacheHit)
+			m.cacheHit = m.push(m.cacheHit, *l.CacheHit)
 		}
 		if l.WearSkew != nil {
-			m.wearSkew.Push(*l.WearSkew)
+			m.wearSkew = m.push(m.wearSkew, *l.WearSkew)
 		}
 		if l.CumWA != nil {
 			m.lastCumWA, m.hasCumWA = *l.CumWA, true
@@ -153,13 +155,13 @@ func distCells(d registry.DistJSON) string {
 }
 
 // gaugeRow renders one sparkline row: label, strip, current value.
-func (m *model) gaugeRow(b *strings.Builder, label string, r *timeseries.Ring, format string) {
-	fmt.Fprintf(b, "  %-12s %s  ", label, timeseries.Sparkline(r.Values(), m.width))
-	if r.Len() == 0 {
+func (m *model) gaugeRow(b *strings.Builder, label string, w []float64, format string) {
+	fmt.Fprintf(b, "  %-12s %s  ", label, sparkline(w, m.width))
+	if len(w) == 0 {
 		b.WriteString("-\n")
 		return
 	}
-	fmt.Fprintf(b, format+"\n", r.Last())
+	fmt.Fprintf(b, format+"\n", w[len(w)-1])
 }
 
 // frame renders the dashboard as one plain-text block (no terminal control;
@@ -198,7 +200,7 @@ func (m *model) frame() string {
 		}
 		for die, e := range m.dieErases {
 			fmt.Fprintf(&b, "    die %-2d |%s| %d\n", die,
-				timeseries.Bar(float64(e), float64(maxE), m.width), e)
+				bar(float64(e), float64(maxE), m.width), e)
 		}
 	}
 	if f := m.fleet; f != nil {

@@ -32,11 +32,11 @@ func TestModelAccumulatesStream(t *testing.T) {
 	if m.samples != 2 || m.clock != 128 {
 		t.Fatalf("samples %d clock %d", m.samples, m.clock)
 	}
-	if m.intervalWA.Len() != 2 || m.intervalWA.Last() != 0.3 {
-		t.Fatalf("intervalWA ring: len %d last %v", m.intervalWA.Len(), m.intervalWA.Last())
+	if len(m.intervalWA) != 2 || m.intervalWA[1] != 0.3 {
+		t.Fatalf("intervalWA window = %v", m.intervalWA)
 	}
-	if m.threshold.Last() != 520 || m.cacheHit.Last() != 0.95 || m.wearSkew.Last() != 1.4 {
-		t.Fatalf("gauges: thr %v hit %v skew %v", m.threshold.Last(), m.cacheHit.Last(), m.wearSkew.Last())
+	if m.threshold[len(m.threshold)-1] != 520 || m.cacheHit[len(m.cacheHit)-1] != 0.95 || m.wearSkew[len(m.wearSkew)-1] != 1.4 {
+		t.Fatalf("gauges: thr %v hit %v skew %v", m.threshold, m.cacheHit, m.wearSkew)
 	}
 	if len(m.dieErases) != 2 || m.dieErases[0] != 1 || m.dieErases[1] != 2 {
 		t.Fatalf("dieErases = %v", m.dieErases)
@@ -72,13 +72,13 @@ func TestModelToleratesGarbage(t *testing.T) {
 	}
 }
 
-// Omitted gauge fields (NaN at the emitter) must not poison the rings: a
+// Omitted gauge fields (NaN at the emitter) must not poison the windows: a
 // baseline stream without cache_hit/wear_skew keeps those rows empty.
 func TestModelOmittedGauges(t *testing.T) {
 	m := newModel("", 20)
 	m.consume([]byte(`{"ev":"sample","clock":64,"interval_wa":0.5,"cum_wa":0.5,"free_sb":4,"threshold":0,"open_fill":[]}`))
-	if m.cacheHit.Len() != 0 || m.wearSkew.Len() != 0 {
-		t.Fatalf("omitted gauges landed in rings: hit %d skew %d", m.cacheHit.Len(), m.wearSkew.Len())
+	if len(m.cacheHit) != 0 || len(m.wearSkew) != 0 {
+		t.Fatalf("omitted gauges landed in windows: hit %v skew %v", m.cacheHit, m.wearSkew)
 	}
 	f := m.frame()
 	if !strings.Contains(f, "cache-hit") {

@@ -191,10 +191,6 @@ type PHFTL struct {
 	predThresh []float64
 	confusion  metrics.Confusion
 
-	// OnResolve, when non-nil, is invoked for every prediction resolved
-	// against its ground-truth lifetime (debugging / analysis hook).
-	OnResolve func(lpn nand.LPN, predictedShort bool, lifetime, threshold float64)
-
 	// rec, when non-nil, receives threshold-update and retraining events;
 	// the metadata store carries its own recorder reference.
 	rec obs.Recorder
@@ -498,9 +494,6 @@ func (p *PHFTL) resolveLifetime(lpn uint32, now uint64) {
 	life := float64(now - hl)
 	if p.pred[lpn] != predNone {
 		p.confusion.Add(p.pred[lpn] == predShort, life < p.predThresh[lpn])
-		if p.OnResolve != nil {
-			p.OnResolve(nand.LPN(lpn), p.pred[lpn] == predShort, life, p.predThresh[lpn])
-		}
 		p.pred[lpn] = predNone
 	}
 	if hl >= p.windowStart {

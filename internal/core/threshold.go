@@ -92,9 +92,6 @@ func (ta *ThresholdAdjuster) Current() float64 {
 	return ta.prev
 }
 
-// Step returns the current adjustment step (exported for ablation benches).
-func (ta *ThresholdAdjuster) Step() int { return ta.step }
-
 // probeSample is one training example for the probes: the features of the
 // write and the observed (or censored) lifetime.
 type probeSample struct {

@@ -77,7 +77,7 @@ func TestStepStaysClamped(t *testing.T) {
 	for w := 0; w < 30; w++ {
 		lifetimes, probes := bimodal(rng, 200, 0.5, 10, 1000)
 		ta.Pick(lifetimes, probes)
-		if s := ta.Step(); s < 1 || s > 10 {
+		if s := ta.step; s < 1 || s > 10 {
 			t.Fatalf("window %d: step = %d outside [1,10]", w, s)
 		}
 	}
@@ -318,9 +318,9 @@ func TestPickMatchesSequential(t *testing.T) {
 			if math.Float64bits(gotT) != math.Float64bits(wantT) {
 				t.Fatalf("GOMAXPROCS=%d window %d (kind %d): threshold %v, sequential %v", procs, w, kind, gotT, wantT)
 			}
-			if got.LastDecision() != want.LastDecision() || got.Step() != want.Step() {
+			if got.LastDecision() != want.LastDecision() || got.step != want.step {
 				t.Fatalf("GOMAXPROCS=%d window %d (kind %d): decision %+v step %d, sequential %+v step %d",
-					procs, w, kind, got.LastDecision(), got.Step(), want.LastDecision(), want.Step())
+					procs, w, kind, got.LastDecision(), got.step, want.LastDecision(), want.step)
 			}
 			if d := want.LastDecision(); d.Direction == -1 && ts[2] == ts[0] {
 				minusWinsPlusCollapsed++

@@ -76,7 +76,7 @@ const (
 
 // NumKinds is the number of distinct Kind slots, including the catch-all
 // index 0 used for unknown kinds. Consumers that keep per-kind state (the
-// metrics registry, ring policies) size their arrays with it.
+// metrics registry, the trace recorder) size their arrays with it.
 const NumKinds = numKinds
 
 // KindByName maps a snake_case kind name (the String form used in JSONL and

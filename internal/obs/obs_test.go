@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -11,24 +12,28 @@ import (
 
 func TestTraceRecorderBasics(t *testing.T) {
 	r := NewTraceRecorder(8)
-	// The deprecated one-size capacity bounds every per-kind ring, so the
-	// total bounded capacity is cap × kinds.
-	if r.Capacity() != 8*numKinds {
-		t.Fatalf("Capacity = %d, want %d", r.Capacity(), 8*numKinds)
-	}
 	for i := 0; i < 5; i++ {
 		r.Record(Event{Kind: KindSBOpen, Clock: uint64(i), SB: int32(i)})
 	}
-	if r.Total() != 5 || r.Dropped() != 0 {
+	// 16 × 8 hits keep 8 events: the hit ring is exactly full.
+	for i := 5; i < 5+8*HotSampleEvery; i++ {
+		r.Record(Event{Kind: KindMetaCacheHit, Clock: uint64(i)})
+	}
+	if r.Total() != 5+8*HotSampleEvery || r.Dropped() != 0 {
 		t.Fatalf("Total = %d, Dropped = %d", r.Total(), r.Dropped())
 	}
 	evs := r.Events()
-	if len(evs) != 5 {
-		t.Fatalf("Events len = %d", len(evs))
+	if len(evs) != 5+8 {
+		t.Fatalf("Events len = %d, want 13", len(evs))
 	}
-	for i, ev := range evs {
-		if ev.Clock != uint64(i) || ev.SB != int32(i) {
-			t.Errorf("event %d = %+v, want clock/sb %d", i, ev, i)
+	for i, ev := range evs[:5] {
+		if ev.Kind != KindSBOpen || ev.Clock != uint64(i) || ev.SB != int32(i) {
+			t.Errorf("event %d = %+v, want sb_open clock/sb %d", i, ev, i)
+		}
+	}
+	for i, ev := range evs[5:] {
+		if want := uint64(5 + i*HotSampleEvery); ev.Kind != KindMetaCacheHit || ev.Clock != want {
+			t.Errorf("event %d = %+v, want meta_cache_hit clock %d", 5+i, ev, want)
 		}
 	}
 	if got := r.CountByKind(KindSBOpen); got != 5 {
@@ -39,32 +44,127 @@ func TestTraceRecorderBasics(t *testing.T) {
 	}
 }
 
+// A hot ring wraps at its capacity; rare kinds recorded beside it are not
+// bounded by it.
 func TestTraceRecorderWraparound(t *testing.T) {
 	r := NewTraceRecorder(4)
-	const n = 11
+	const kept = 11 // retained misses; the ring holds the newest 4
+	const n = kept * HotSampleEvery
 	for i := 0; i < n; i++ {
-		r.Record(Event{Kind: KindGCEnd, Clock: uint64(i)})
+		r.Record(Event{Kind: KindMetaCacheMiss, Clock: uint64(i)})
+		if i%HotSampleEvery == 1 {
+			r.Record(Event{Kind: KindGCEnd, Clock: uint64(i)})
+		}
 	}
-	if r.Total() != n {
+	if r.Total() != n+kept {
 		t.Fatalf("Total = %d", r.Total())
 	}
-	if r.Dropped() != n-4 {
-		t.Fatalf("Dropped = %d, want %d", r.Dropped(), n-4)
+	if r.Dropped() != kept-4 {
+		t.Fatalf("Dropped = %d, want %d", r.Dropped(), kept-4)
 	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("Events len = %d, want ring capacity 4", len(evs))
+	var misses []uint64
+	gcEnds := 0
+	for _, ev := range r.Events() {
+		if ev.Kind == KindMetaCacheMiss {
+			misses = append(misses, ev.Clock)
+		} else {
+			gcEnds++
+		}
 	}
-	// The retained window is the last 4 events, oldest first.
-	for i, ev := range evs {
-		want := uint64(n - 4 + i)
-		if ev.Clock != want {
-			t.Errorf("retained[%d].Clock = %d, want %d", i, ev.Clock, want)
+	// The retained window is the newest 4 kept misses, oldest first.
+	if len(misses) != 4 || gcEnds != kept {
+		t.Fatalf("retained %d misses and %d gc_ends, want 4 and %d", len(misses), gcEnds, kept)
+	}
+	for i, c := range misses {
+		if want := uint64((kept - 4 + i) * HotSampleEvery); c != want {
+			t.Errorf("retained miss %d clock = %d, want %d", i, c, want)
 		}
 	}
 	// Per-kind totals survive the overwrites.
-	if got := r.CountByKind(KindGCEnd); got != n {
+	if got := r.CountByKind(KindMetaCacheMiss); got != n {
 		t.Errorf("CountByKind = %d, want %d", got, n)
+	}
+}
+
+// TestTraceRecorderMatchesModel checks the recorder against a plain slice
+// model of its one retention rule: a seeded stream over every kind, with
+// each meta-cache kind recorded often enough for its default ring to wrap
+// and one out-of-range kind.
+func TestTraceRecorderMatchesModel(t *testing.T) {
+	const outOfRange = Kind(200)
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(36))
+	r := NewTraceRecorder(0)
+
+	var counts [numKinds]uint64
+	var kept []Event // what the model retains, in record order
+	var hotKept [numKinds]int
+	for i := 0; i < n; i++ {
+		var k Kind
+		switch x := rng.Intn(100); {
+		case x < 90: // the three hot kinds, 30 % each
+			k = KindMetaCacheHit + Kind(x%3)
+		case x < 99:
+			k = Kind(1 + rng.Intn(numKinds-1))
+		default:
+			k = outOfRange
+		}
+		ev := Event{Kind: k, Clock: uint64(i), A: rng.Int63()}
+		r.Record(ev)
+		slot := int(k)
+		if slot >= numKinds {
+			slot = 0
+		}
+		counts[slot]++
+		hot := k >= KindMetaCacheHit && k <= KindMetaCacheEvict
+		if !hot || (counts[slot]-1)%HotSampleEvery == 0 {
+			kept = append(kept, ev)
+			if hot {
+				hotKept[k]++
+			}
+		}
+	}
+
+	// Each hot kind keeps only its newest hotRingCapacity stored events.
+	var want []Event
+	var seen [numKinds]int
+	var dropped, sampledOut uint64
+	for k := KindMetaCacheHit; k <= KindMetaCacheEvict; k++ {
+		if counts[k] <= HotSampleEvery*hotRingCapacity {
+			t.Fatalf("kind %v recorded %d times, too few to wrap its ring", k, counts[k])
+		}
+		dropped += uint64(hotKept[k] - hotRingCapacity)
+		sampledOut += counts[k] - uint64(hotKept[k])
+	}
+	for _, ev := range kept {
+		if k := ev.Kind; k >= KindMetaCacheHit && k <= KindMetaCacheEvict {
+			if seen[k]++; seen[k] <= hotKept[k]-hotRingCapacity {
+				continue
+			}
+		}
+		want = append(want, ev)
+	}
+
+	got := r.Events()
+	if len(got) != len(want) {
+		t.Fatalf("Events() holds %d events, model %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Events()[%d] = %+v, model %+v", i, got[i], want[i])
+		}
+	}
+	if r.Total() != n || r.Dropped() != dropped || r.SampledOut() != sampledOut {
+		t.Fatalf("Total/Dropped/SampledOut = %d/%d/%d, model %d/%d/%d",
+			r.Total(), r.Dropped(), r.SampledOut(), n, dropped, sampledOut)
+	}
+	for k := Kind(0); int(k) < numKinds; k++ {
+		if r.CountByKind(k) != counts[k] {
+			t.Errorf("CountByKind(%v) = %d, model %d", k, r.CountByKind(k), counts[k])
+		}
+	}
+	if counts[0] == 0 || r.CountByKind(outOfRange) != 0 {
+		t.Errorf("out-of-range kind: slot 0 counted %d, CountByKind(%d) = %d", counts[0], outOfRange, r.CountByKind(outOfRange))
 	}
 }
 
@@ -296,7 +396,7 @@ func TestBuildReport(t *testing.T) {
 // any bounded ring is retained in full, with nothing dropped or thinned.
 func TestDefaultPolicyRareKindsLossless(t *testing.T) {
 	r := NewTraceRecorder(0)
-	const n = DefaultRingCapacity + 1000 // beyond the old one-size bound
+	const n = 4*hotRingCapacity + 1000 // beyond any hot ring's bound
 	for i := 0; i < n; i++ {
 		r.Record(Event{Kind: KindGCEnd, Clock: uint64(i)})
 	}
@@ -305,9 +405,6 @@ func TestDefaultPolicyRareKindsLossless(t *testing.T) {
 	}
 	if r.Dropped() != 0 || r.SampledOut() != 0 {
 		t.Fatalf("Dropped = %d, SampledOut = %d, want 0/0", r.Dropped(), r.SampledOut())
-	}
-	if got := r.SampleEveryOf(KindGCEnd); got != 1 {
-		t.Fatalf("SampleEveryOf(GCEnd) = %d, want 1", got)
 	}
 }
 
@@ -323,10 +420,7 @@ func TestDefaultPolicyHotKindsSampled(t *testing.T) {
 	if got := r.CountByKind(KindMetaCacheHit); got != n {
 		t.Fatalf("CountByKind = %d, want exact %d despite sampling", got, n)
 	}
-	every := r.SampleEveryOf(KindMetaCacheHit)
-	if every != DefaultHotSampleEvery {
-		t.Fatalf("SampleEveryOf = %d, want %d", every, DefaultHotSampleEvery)
-	}
+	const every = HotSampleEvery
 	wantRetained := (n + int(every) - 1) / int(every) // first, then every Nth
 	if got := len(r.Events()); got != wantRetained {
 		t.Fatalf("retained %d events, want %d (1/%d of %d)", got, wantRetained, every, n)
@@ -379,9 +473,6 @@ func TestReportErasesAndSampling(t *testing.T) {
 	rep := BuildReport(r, nil)
 	if rep.Erases != 4 {
 		t.Fatalf("Erases = %d, want 4", rep.Erases)
-	}
-	if rep.CacheSampleEvery != DefaultHotSampleEvery {
-		t.Fatalf("CacheSampleEvery = %d, want %d", rep.CacheSampleEvery, DefaultHotSampleEvery)
 	}
 	if rep.EventsSampledOut == 0 {
 		t.Fatal("EventsSampledOut = 0, want > 0")

@@ -168,8 +168,8 @@ func (c *Cell) SetState(s State) {
 }
 
 // Record implements obs.Recorder: exact per-kind counting plus a store into
-// the registry's drain ring, thinned for the hot kinds (emitted per metadata
-// retrieval, millions per replay) at obs.HotSampleEvery. Allocation-free.
+// the registry's drain ring of the events obs.Keep retains. Allocation-free
+// once the ring has filled.
 func (c *Cell) Record(ev obs.Event) {
 	k := int(ev.Kind)
 	if k >= obs.NumKinds {
@@ -179,10 +179,9 @@ func (c *Cell) Record(ev obs.Event) {
 	if ev.Kind == obs.KindGCStart {
 		c.reg.fleet[hGCValidRatio].Observe(ev.F0)
 	}
-	if every := obs.HotSampleEvery(ev.Kind); every > 1 && (seen-1)%every != 0 {
-		return
+	if obs.Keep(ev.Kind, seen) {
+		c.reg.ring.store(c.name, ev)
 	}
-	c.reg.ring.store(c.name, ev)
 }
 
 // raise publishes an externally maintained cumulative total (e.g. the FTL's
@@ -349,37 +348,22 @@ type SeqEvent struct {
 	Ev   obs.Event
 }
 
-// eventRing is the bounded global event store behind /api/v1/events.
-// Slots are preallocated; a full ring overwrites its oldest slot, so
-// producers never block and a slow scraper only loses history, never
-// progress. Sequence numbers start at 1 and are assigned per *stored*
-// event (hot-kind thinning happens before the ring).
-type eventRing struct {
-	mu      sync.Mutex
-	buf     []SeqEvent
-	mask    uint64
-	stored  uint64 // == last assigned seq
-	dropped uint64
+// drainRing is the bounded global event store behind /api/v1/events: the
+// newest stored events under one lock. A full ring overwrites its oldest
+// event, so producers never block and a slow scraper only loses history,
+// never progress. Sequence numbers start at 1 and count stored events
+// (obs.Keep thins the hot kinds before the ring).
+type drainRing struct {
+	mu sync.Mutex
+	obs.Ring[SeqEvent]
 }
 
-func (er *eventRing) init(capacity int) {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	er.buf = make([]SeqEvent, n)
-	er.mask = uint64(n - 1)
-}
+func (d *drainRing) init(capacity int) { d.Ring = obs.NewRing[SeqEvent](capacity) }
 
-func (er *eventRing) store(cell string, ev obs.Event) {
-	er.mu.Lock()
-	seq := er.stored + 1
-	er.stored = seq
-	if seq > uint64(len(er.buf)) {
-		er.dropped++
-	}
-	er.buf[(seq-1)&er.mask] = SeqEvent{Seq: seq, Cell: cell, Ev: ev}
-	er.mu.Unlock()
+func (d *drainRing) store(cell string, ev obs.Event) {
+	d.mu.Lock()
+	d.Push(SeqEvent{Seq: d.Newest() + 1, Cell: cell, Ev: ev})
+	d.mu.Unlock()
 }
 
 // EventsSince drains up to limit ring events with sequence number > since,
@@ -396,30 +380,21 @@ func (r *Registry) EventsSince(since uint64, kind obs.Kind, limit int) ([]SeqEve
 	if limit <= 0 {
 		limit = 1000
 	}
-	er := &r.ring
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	newest := er.stored
-	oldest := uint64(1)
-	if newest > uint64(len(er.buf)) {
-		oldest = newest - uint64(len(er.buf)) + 1
+	d := &r.ring
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if since >= d.Newest() {
+		return nil, since
 	}
-	from := since + 1
-	if from < oldest {
-		from = oldest // the gap was overwritten; resume at the oldest survivor
-	}
-	cursor := from - 1
+	// The scan covers at least one slot; an overwritten gap resumes at the
+	// oldest survivor.
 	var out []SeqEvent
-	for seq := from; seq <= newest; seq++ {
-		if len(out) == limit {
-			break // truncated: cursor stays at the last scanned slot
-		}
-		se := er.buf[(seq-1)&er.mask]
+	var cursor uint64
+	for seq := max(since+1, d.Oldest()); seq <= d.Newest() && len(out) < limit; seq++ {
 		cursor = seq
-		if kind != 0 && se.Ev.Kind != kind {
-			continue
+		if se := d.At(seq); kind == 0 || se.Ev.Kind == kind {
+			out = append(out, se)
 		}
-		out = append(out, se)
 	}
 	return out, cursor
 }
@@ -430,7 +405,7 @@ func (r *Registry) EventsSince(since uint64, kind obs.Kind, limit int) ([]SeqEve
 func (r *Registry) EventsDropped() uint64 {
 	r.ring.mu.Lock()
 	defer r.ring.mu.Unlock()
-	return r.ring.dropped
+	return r.ring.Dropped()
 }
 
 // UptimeSeconds returns seconds since the registry was created.

@@ -229,8 +229,8 @@ func TestHotKindThinning(t *testing.T) {
 		t.Fatalf("exact counter = %d, want %d", got, n)
 	}
 	stored, _ := r.EventsSince(0, 0, 0)
-	if len(stored) != n/obs.DefaultHotSampleEvery {
-		t.Fatalf("ring stored %d hot events, want %d", len(stored), n/obs.DefaultHotSampleEvery)
+	if len(stored) != n/obs.HotSampleEvery {
+		t.Fatalf("ring stored %d hot events, want %d", len(stored), n/obs.HotSampleEvery)
 	}
 }
 

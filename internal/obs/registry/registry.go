@@ -147,7 +147,7 @@ type Registry struct {
 	sorted  []*Cell        // by label, the exposition order
 	schemes []*schemeHists // by label, the exposition order
 
-	ring  eventRing
+	ring  drainRing
 	start time.Time
 
 	// Cross-cell distributions fed by every cell: GC victim valid ratio

@@ -12,8 +12,8 @@ import (
 // text (String) for README-able output.
 type Report struct {
 	// Events is the number of retained events the report was built from;
-	// EventsDropped counts ring overwrites (the totals below still include
-	// them where per-kind counters were available).
+	// EventsDropped counts meta-cache ring overwrites (the counters below
+	// still include them).
 	Events        int
 	EventsDropped uint64
 
@@ -32,21 +32,15 @@ type Report struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	CacheEvicts uint64
-	// CacheSampleEvery is the recorded retention sampling rate of the
-	// meta-cache event kinds (1 = every event retained). The hit/miss/evict
-	// counters above are exact regardless.
-	CacheSampleEvery uint64
-	// EventsSampledOut counts events thinned by per-kind sampling before
-	// storage (deliberate policy, distinct from ring-wraparound drops).
+	// EventsSampledOut counts meta-cache events thinned before storage
+	// (deliberate policy, distinct from ring-wraparound drops).
 	EventsSampledOut uint64
-	// Retrains counts all training windows (wrap-surviving counter);
-	// RetainedRetrains, Deploys, GCMigrated, the valid-ratio percentiles
-	// and the threshold timeline are computed from the retained event
-	// window only.
-	Retrains         uint64
-	RetainedRetrains uint64
-	Deploys          uint64
-	LastTrainLoss    float64
+	// Retrains counts all training windows. Rare kinds are never dropped,
+	// so Deploys, GCMigrated, the valid-ratio percentiles and the
+	// threshold timeline cover the whole run.
+	Retrains      uint64
+	Deploys       uint64
+	LastTrainLoss float64
 
 	ThresholdUpdates  uint64
 	ThresholdFirst    float64
@@ -75,8 +69,7 @@ func BuildReport(rec *TraceRecorder, samples []Sample) *Report {
 		events := rec.Events()
 		r.Events = len(events)
 		r.EventsDropped = rec.Dropped()
-		// Per-kind totals survive ring wraparound; distributions and the
-		// threshold timeline are computed from the retained window.
+		// Per-kind totals survive thinning and ring wraparound.
 		r.GCCount = rec.CountByKind(KindGCEnd)
 		r.SBOpens = rec.CountByKind(KindSBOpen)
 		r.SBCloses = rec.CountByKind(KindSBClose)
@@ -85,7 +78,6 @@ func BuildReport(rec *TraceRecorder, samples []Sample) *Report {
 		r.CacheHits = rec.CountByKind(KindMetaCacheHit)
 		r.CacheMisses = rec.CountByKind(KindMetaCacheMiss)
 		r.CacheEvicts = rec.CountByKind(KindMetaCacheEvict)
-		r.CacheSampleEvery = rec.SampleEveryOf(KindMetaCacheHit)
 		r.EventsSampledOut = rec.SampledOut()
 		r.Retrains = rec.CountByKind(KindWindowRetrain)
 		r.ThresholdUpdates = rec.CountByKind(KindThresholdUpdate)
@@ -98,7 +90,6 @@ func BuildReport(rec *TraceRecorder, samples []Sample) *Report {
 			case KindThresholdUpdate:
 				r.ThresholdTimeline = append(r.ThresholdTimeline, ThresholdPoint{Clock: ev.Clock, Value: ev.F1})
 			case KindWindowRetrain:
-				r.RetainedRetrains++
 				if ev.B != 0 {
 					r.Deploys++
 				}
@@ -173,17 +164,13 @@ func (r *Report) String() string {
 	}
 	if r.CacheHits+r.CacheMisses > 0 {
 		hitRate := float64(r.CacheHits) / float64(r.CacheHits+r.CacheMisses)
-		fmt.Fprintf(&b, "  meta cache           %.2f%% hit rate (%d hits, %d misses, %d evictions)",
-			hitRate*100, r.CacheHits, r.CacheMisses, r.CacheEvicts)
-		if r.CacheSampleEvery > 1 {
-			fmt.Fprintf(&b, " — events sampled 1/%d, counters exact", r.CacheSampleEvery)
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "  meta cache           %.2f%% hit rate (%d hits, %d misses, %d evictions) — events sampled 1/%d, counters exact\n",
+			hitRate*100, r.CacheHits, r.CacheMisses, r.CacheEvicts, HotSampleEvery)
 	}
 	if r.Retrains > 0 {
 		fmt.Fprintf(&b, "  model trainer        %d training windows", r.Retrains)
 		if r.EventsDropped > 0 {
-			fmt.Fprintf(&b, " (%d retained: %d deployed)", r.RetainedRetrains, r.Deploys)
+			fmt.Fprintf(&b, " (%d retained: %d deployed)", r.Retrains, r.Deploys)
 		} else {
 			fmt.Fprintf(&b, ", %d deployed", r.Deploys)
 		}

@@ -49,7 +49,7 @@ func Exec(ctx context.Context, j Job) (*sim.Instance, Output, error) {
 		return nil, Output{}, err
 	}
 	Observe(in, j.Live, j.SampleEvery, j.Sink)
-	var out Output
+	out := Output{Cell: j.Cell}
 	if j.Source == nil {
 		out.Result, err = sim.RunOnCtx(ctx, in, p, j.DriveWrites)
 	} else if err = in.ReplayStream(j.Source, p.PageSize); err == nil {
