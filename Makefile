@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race allocs loc fmt fuzz bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check results-check
+.PHONY: check vet build test race fma-off allocs loc fmt fuzz bench bench-quick bench-contract smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden golden-check results-check
 
 ## check: the tier-1 gate — everything CI (and the next PR) relies on.
-check: vet build race allocs fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check results-check bench-quick
+check: vet build race fma-off allocs fmt smoke watop-smoke opsweep-smoke scaling-smoke http-smoke fleet-smoke csv-smoke golden-check results-check bench-quick
 
 ## vet also type-checks the tree for arm64, so the pure-Go kernels (and the
 ## stubs that stand in for the amd64 assembly) keep compiling off amd64.
@@ -19,6 +19,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## fma-off: internal/ml's tests with math.Exp on its non-FMA path
+## (GODEBUG=cpu.fma=off). The activation kernels repeat the FMA path, so
+## here they must switch themselves off and leave every gate to the Go loops.
+fma-off:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/ml
 
 ## allocs: the allocation pins. testing.AllocsPerRun counts the race
 ## detector's own allocations, so these tests skip under -race and `race`
@@ -167,12 +173,14 @@ fmt:
 	fi
 
 ## bench: the perf-critical microbenchmark suite — replay write path (cold
-## and steady-state), model inference step, a serial training pass (µs per
+## and steady-state), model inference step, one step's gate nonlinearities,
+## a serial training pass (µs per
 ## example, AVX2 and Go reference kernels) and GC victim selection — with
 ## allocation counts, so the zero-allocation invariant is visible.
 bench:
 	$(GO) test -bench 'BenchmarkWritePath' -benchtime=200000x -count=3 -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkPredictStep' -benchmem -run '^$$' ./internal/ml
+	$(GO) test -bench 'BenchmarkActivations' -run '^$$' ./internal/ml
 	$(GO) test -bench 'BenchmarkGRUTrain' -run '^$$' ./internal/ml
 	$(GO) test -bench 'BenchmarkSelectVictim' -benchmem -run '^$$' ./internal/ftl
 

@@ -76,21 +76,19 @@ func (g *gruCell) stateSize() int { return g.Wz.Rows }
 
 func (g *gruCell) step(hPrev, x, hOut []float64) { g.stepInto(hPrev, x, &g.scr, hOut) }
 
-// stepInto advances one step, keeping the gate intermediates in s. The gate
-// loops are fused — z, r and r⊙h are produced in one pass — and hOut may
+// stepInto advances one step, keeping the gate intermediates in s. hOut may
 // alias hPrev (hPrev[i] is read only before hOut[i] is written).
 func (g *gruCell) stepInto(hPrev, x []float64, s *gruTrace, hOut []float64) {
 	z, r, c, rh := s.z, s.r, s.c, s.rh
 	matVec2(g.Wz, g.Wr, g.Uz, g.Ur, x, hPrev, z, r)
-	for i := range z {
-		z[i] = sigmoid(z[i] + g.Bz.Data[i])
-		r[i] = sigmoid(r[i] + g.Br.Data[i])
+	sigmoidAdd(z, z, g.Bz.Data)
+	sigmoidAdd(r, r, g.Br.Data)
+	for i := range rh {
 		rh[i] = r[i] * hPrev[i]
 	}
 	matVecPair(g.Wc, g.Uc, x, rh, c)
-	for i := range c {
-		ci := tanh(c[i] + g.Bc.Data[i])
-		c[i] = ci
+	tanhAdd(c, c, g.Bc.Data)
+	for i, ci := range c {
 		hOut[i] = (1-z[i])*hPrev[i] + z[i]*ci
 	}
 }

@@ -102,19 +102,19 @@ func (l *lstmCell) step(statePrev, x, stateOut []float64) {
 func (l *lstmCell) stepInto(hPrev, cPrev, x []float64, s *lstmTrace, hOut, cOut []float64) {
 	matVec2(l.Wi, l.Wf, l.Ui, l.Uf, x, hPrev, s.i, s.f)
 	matVec2(l.Wo, l.Wg, l.Uo, l.Ug, x, hPrev, s.o, s.g)
-	for k := range s.i {
-		ik := sigmoid(s.i[k] + l.Bi.Data[k])
-		fk := sigmoid(s.f[k] + l.Bf.Data[k])
-		ok := sigmoid(s.o[k] + l.Bo.Data[k])
-		gk := tanh(s.g[k] + l.Bg.Data[k])
-		ck := fk*cPrev[k] + ik*gk
+	sigmoidAdd(s.i, s.i, l.Bi.Data)
+	sigmoidAdd(s.f, s.f, l.Bf.Data)
+	sigmoidAdd(s.o, s.o, l.Bo.Data)
+	tanhAdd(s.g, s.g, l.Bg.Data)
+	for k, gk := range s.g {
+		ck := s.f[k]*cPrev[k] + s.i[k]*gk
 		// Clamp the cell into (−1,1) so the persisted state stays int8-able.
-		clamped := ck > 0.999 || ck < -0.999
-		ck = max(-0.999, min(ck, 0.999))
-		tc := tanh(ck)
-		s.i[k], s.f[k], s.o[k], s.g[k], s.tc[k], s.clamped[k] = ik, fk, ok, gk, tc, clamped
-		cOut[k] = ck
-		hOut[k] = ok * tc
+		s.clamped[k] = ck > 0.999 || ck < -0.999
+		cOut[k] = max(-0.999, min(ck, 0.999))
+	}
+	tanhAdd(s.tc, cOut, nil)
+	for k, tc := range s.tc {
+		hOut[k] = s.o[k] * tc
 	}
 }
 

@@ -30,9 +30,7 @@ func (m *mlpCell) stateSize() int { return m.W1.Rows }
 
 func (m *mlpCell) step(_, x, out []float64) {
 	matVec(m.W1, x, out)
-	for i := range out {
-		out[i] = tanh(out[i] + m.B1.Data[i])
-	}
+	tanhAdd(out, out, m.B1.Data)
 }
 
 func (m *mlpCell) forward(seq [][]float64) []float64 {

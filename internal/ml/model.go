@@ -225,7 +225,9 @@ func TrainModel(m *Net, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
 	lastLoss := 0.0
 	for e := 0; e < epochs; e++ {
 		order := rng.order()
-		total := 0.0
+		// The loss is summed per batch, then batch by batch, as
+		// ShardedTrainer sums it: one shard's sum is its batch's.
+		total, batchLoss := 0.0, 0.0
 		inBatch := 0
 		m.ZeroGrad()
 		for _, idx := range order {
@@ -233,15 +235,17 @@ func TrainModel(m *Net, samples []Sample, opt *Adam, cfg TrainConfig) float64 {
 			if len(s.Seq) == 0 {
 				continue
 			}
-			total += m.AccumulateGradients(s.Seq, s.Label)
+			batchLoss += m.AccumulateGradients(s.Seq, s.Label)
 			inBatch++
 			if inBatch == batch {
+				total += batchLoss
 				opt.Update(m.Params(), inBatch)
 				m.ZeroGrad()
-				inBatch = 0
+				batchLoss, inBatch = 0, 0
 			}
 		}
 		if inBatch > 0 {
+			total += batchLoss
 			opt.Update(m.Params(), inBatch)
 			m.ZeroGrad()
 		}

@@ -206,6 +206,206 @@ done:
 	VZEROUPPER
 	RET
 
+// The activation kernels below compute sigmoid and tanh four lanes at a time.
+// Their exp repeats, lane by lane, the FMA path of Go's archExp
+// ($GOROOT/src/math/exp_amd64.s): the same constants, the same operations
+// in the same order, FMA exactly where archExp fuses and nowhere else. So a
+// lane's result is bit-identical to math.Exp's wherever that path reaches
+// its normal ldexp step, that is wherever k, the rounded x·log2(e), lies in
+// [-1022, 1023]. A block with any other lane (NaN, ±Inf, overflow, a
+// subnormal or zero result) is not stored: the kernel returns the count it
+// finished and the Go loop computes the rest, so dst may alias src.
+
+#define CONST4(sym, v) \
+	DATA sym+0(SB)/8, v; \
+	DATA sym+8(SB)/8, v; \
+	DATA sym+16(SB)/8, v; \
+	DATA sym+24(SB)/8, v; \
+	GLOBL sym(SB), RODATA|NOPTR, $32
+
+// archExp's constants, written as math writes them.
+CONST4(log2e<>, $1.4426950408889634073599246810018920)
+CONST4(ln2u<>, $0.69314718055966295651160180568695068359375)
+CONST4(ln2l<>, $0.28235290563031577122588448175013436025525412068e-12)
+CONST4(sixteenth<>, $0.0625)
+CONST4(exp8<>, $2.4801587301587301587e-5)
+CONST4(exp7<>, $1.9841269841269841270e-4)
+CONST4(exp6<>, $1.3888888888888888889e-3)
+CONST4(exp5<>, $8.3333333333333333333e-3)
+CONST4(exp4<>, $4.1666666666666666667e-2)
+CONST4(exp3<>, $1.6666666666666666667e-1)
+CONST4(half<>, $0.5)
+CONST4(one<>, $1.0)
+CONST4(two<>, $2.0)
+
+// math.tanh's constants.
+CONST4(tanhp0<>, $-9.64399179425052238628e-1)
+CONST4(tanhp1<>, $-9.92877231001918586564e1)
+CONST4(tanhp2<>, $-1.61468768441708447952e3)
+CONST4(tanhq0<>, $1.12811678491632931402e2)
+CONST4(tanhq1<>, $2.23548839060100448583e3)
+CONST4(tanhq2<>, $4.84406305325125486048e3)
+CONST4(halfmaxlog<>, $44.014845965556527147994) // 0.5 * MAXLOG
+CONST4(fiveeighths<>, $0.625)
+CONST4(zero<>, $0.0)
+CONST4(signbit<>, $0x8000000000000000)
+CONST4(absmask<>, $0x7fffffffffffffff)
+
+// k+1023 bias and the limits of the normal range of k+1023, as int32 lanes.
+DATA expbias<>+0(SB)/4, $1023
+DATA expbias<>+4(SB)/4, $1023
+DATA expbias<>+8(SB)/4, $1023
+DATA expbias<>+12(SB)/4, $1023
+GLOBL expbias<>(SB), RODATA|NOPTR, $16
+DATA explimit<>+0(SB)/4, $2046
+DATA explimit<>+4(SB)/4, $2046
+DATA explimit<>+8(SB)/4, $2046
+DATA explimit<>+12(SB)/4, $2046
+GLOBL explimit<>(SB), RODATA|NOPTR, $16
+
+// EXP4 replaces each lane of x with archExp's FMA-path exp of it, and
+// jumps to bail, before anything is stored, if any lane's k+1023 falls
+// outside [1, 2046]. t is scratch; u, kb and kc are the X halves of three
+// other scratch registers.
+#define EXP4(x, t, u, kb, kc, bail) \
+	VMULPD       log2e<>(SB), x, t; \
+	VCVTPD2DQY   t, kb; \
+	VCVTDQ2PD    kb, t; \
+	VFNMADD231PD ln2u<>(SB), t, x; \
+	VFNMADD231PD ln2l<>(SB), t, x; \
+	VMULPD       sixteenth<>(SB), x, x; \
+	VMOVUPD      exp8<>(SB), t; \
+	VFMADD213PD  exp7<>(SB), x, t; \
+	VFMADD213PD  exp6<>(SB), x, t; \
+	VFMADD213PD  exp5<>(SB), x, t; \
+	VFMADD213PD  exp4<>(SB), x, t; \
+	VFMADD213PD  exp3<>(SB), x, t; \
+	VFMADD213PD  half<>(SB), x, t; \
+	VFMADD213PD  one<>(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       two<>(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       two<>(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       two<>(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       two<>(SB), x, t; \
+	VFMADD213PD  one<>(SB), t, x; \
+	VPADDD       expbias<>(SB), kb, kb; \
+	VPCMPGTD     zero<>(SB), kb, kc; \
+	VPCMPGTD     explimit<>(SB), kb, u; \
+	VPANDN       kc, u, kc; \
+	VMOVMSKPS    kc, BX; \
+	CMPQ         BX, $15; \
+	JNE          bail; \
+	VPMOVSXDQ    kb, t; \
+	VPSLLQ       $52, t, t; \
+	VMULPD       t, x, x
+
+// func sigmoidAddAVX2(dst, src, bias *float64, n int) int
+//
+// dst[i] = 1/(1+exp(-(src[i]+bias[i]))) for whole blocks of four, as
+// sigmoidAdd's Go loop computes it. Returns the count stored.
+TEXT ·sigmoidAddAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ bias+16(FP), DX
+	MOVQ n+24(FP), CX
+	ANDQ $~3, CX
+	XORQ AX, AX
+	VMOVUPD one<>(SB), Y15
+
+sblock:
+	CMPQ    AX, CX
+	JGE     sdone
+	VMOVUPD (SI)(AX*8), Y0
+	VADDPD  (DX)(AX*8), Y0, Y0
+	VXORPD  signbit<>(SB), Y0, Y0
+	EXP4(Y0, Y1, X2, X3, X4, sdone)
+	VADDPD  Y15, Y0, Y0
+	VDIVPD  Y0, Y15, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     sblock
+
+sdone:
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAddAVX2(dst, src, bias *float64, n int) int
+//
+// dst[i] = tanh(src[i]+bias[i]) for whole blocks of four, or tanh(src[i])
+// when bias is nil, as tanhAdd's Go loop computes it. Every lane computes
+// all three branches of math.tanh, which are then blended in its order: the
+// polynomial, replaced where |x| >= 0.625 by 1-2/(exp(2|x|)+1) with x's
+// sign, that where |x| > 0.5·MAXLOG by ±1, and that where x is ±0 by x. The
+// ±1 lanes take exp(0), so only NaN makes a block bail. The polynomial is
+// unfused, in math.tanh's order. Returns the count stored.
+TEXT ·tanhAddAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ bias+16(FP), DX
+	MOVQ n+24(FP), CX
+	ANDQ $~3, CX
+	XORQ AX, AX
+	VMOVUPD one<>(SB), Y15
+	VMOVUPD two<>(SB), Y14
+	VMOVUPD signbit<>(SB), Y13
+
+tblock:
+	CMPQ    AX, CX
+	JGE     tdone
+	VMOVUPD (SI)(AX*8), Y0
+	TESTQ   DX, DX
+	JZ      tnobias
+	VADDPD  (DX)(AX*8), Y0, Y0
+
+tnobias:
+	// The middle branch, sign of x included.
+	VANDPD  absmask<>(SB), Y0, Y1
+	VCMPPD  $0x1e, halfmaxlog<>(SB), Y1, Y2
+	VADDPD  Y1, Y1, Y3
+	VANDNPD Y3, Y2, Y3
+	EXP4(Y3, Y4, X5, X6, X7, tdone)
+	VADDPD  Y15, Y3, Y3
+	VDIVPD  Y3, Y14, Y3
+	VSUBPD  Y3, Y15, Y3
+	VANDPD  Y13, Y0, Y6
+	VORPD   Y6, Y3, Y3
+
+	// The polynomial: x + x*s*((P0*s+P1)*s+P2)/(((s+Q0)*s+Q1)*s+Q2).
+	VMULPD Y0, Y0, Y7
+	VMULPD tanhp0<>(SB), Y7, Y8
+	VADDPD tanhp1<>(SB), Y8, Y8
+	VMULPD Y7, Y8, Y8
+	VADDPD tanhp2<>(SB), Y8, Y8
+	VADDPD tanhq0<>(SB), Y7, Y9
+	VMULPD Y7, Y9, Y9
+	VADDPD tanhq1<>(SB), Y9, Y9
+	VMULPD Y7, Y9, Y9
+	VADDPD tanhq2<>(SB), Y9, Y9
+	VMULPD Y7, Y0, Y10
+	VMULPD Y8, Y10, Y10
+	VDIVPD Y9, Y10, Y10
+	VADDPD Y10, Y0, Y10
+
+	// The blends, in math.tanh's order.
+	VCMPPD    $0x1d, fiveeighths<>(SB), Y1, Y4
+	VBLENDVPD Y4, Y3, Y10, Y10
+	VORPD     Y15, Y6, Y3
+	VBLENDVPD Y2, Y3, Y10, Y10
+	VCMPPD    $0x00, zero<>(SB), Y0, Y4
+	VBLENDVPD Y4, Y0, Y10, Y10
+	VMOVUPD   Y10, (DI)(AX*8)
+	ADDQ      $4, AX
+	JMP       tblock
+
+tdone:
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 //
 // cpuid and xgetbv run before AVX is known to exist, so they touch no

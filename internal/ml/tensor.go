@@ -90,6 +90,17 @@ func (t *Tensor) String() string { return fmt.Sprintf("Tensor(%dx%d)", t.Rows, t
 // *Fits predicate below (TestProductionShapesTakeAVX2 holds every production
 // shape to them). Every other shape, and every other architecture, runs the
 // Go loop.
+//
+// The activation kernels sigmoidAdd and tanhAdd follow the same rule. Their
+// Go loops, one math.Exp or math.Tanh per element, are the specification;
+// each output's chain is the one math itself runs. In the AVX2 forms the exp
+// repeats math.Exp's amd64 kernel (archExp, an FMA path and a non-FMA path)
+// lane by lane along its FMA path: FMA exactly where archExp fuses, and
+// nowhere else. tanh computes math.tanh's three branches unfused and blends
+// them in its order. The kernels run only where expSIMD holds, which checks
+// at start-up that they reproduce math on inputs where its two exp paths
+// differ; they take whole blocks of four and leave the tail, and any block
+// with a lane outside archExp's normal range, to the Go loop.
 
 // quad reports whether a dimension is a positive multiple of 4, the only
 // extents the AVX2 kernels take.
@@ -216,6 +227,44 @@ func addGrad(b *Tensor, g []float64) {
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 func tanh(v float64) float64 { return math.Tanh(v) }
+
+// sigmoidAdd sets dst[i] = sigmoid(src[i] + bias[i]). dst may alias src.
+func sigmoidAdd(dst, src, bias []float64) {
+	n := len(dst)
+	src, bias = src[:n], bias[:n]
+	i := 0
+	if useSIMD && expSIMD && n >= 4 {
+		i = sigmoidAddAVX2(&dst[0], &src[0], &bias[0], n)
+	}
+	for ; i < n; i++ {
+		dst[i] = sigmoid(src[i] + bias[i])
+	}
+}
+
+// tanhAdd sets dst[i] = tanh(src[i] + bias[i]), or tanh(src[i]) if bias is
+// nil: adding a zero bias would turn a -0 into +0. dst may alias src.
+func tanhAdd(dst, src, bias []float64) {
+	n := len(dst)
+	src = src[:n]
+	if bias != nil {
+		bias = bias[:n]
+	}
+	i := 0
+	if useSIMD && expSIMD && n >= 4 {
+		var b *float64
+		if bias != nil {
+			b = &bias[0]
+		}
+		i = tanhAddAVX2(&dst[0], &src[0], b, n)
+	}
+	for ; i < n; i++ {
+		v := src[i]
+		if bias != nil {
+			v += bias[i]
+		}
+		dst[i] = tanh(v)
+	}
+}
 
 // vecs points each of bufs at a fresh zero vector of length n.
 func vecs(n int, bufs ...*[]float64) {

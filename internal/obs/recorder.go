@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -200,21 +200,38 @@ func (r *TraceRecorder) CountByKind(k Kind) uint64 {
 }
 
 // Events returns the retained events merged into record order (oldest
-// first).
+// first). The rare slice and each hot ring are already in record order, so
+// they merge straight into the result.
 func (r *TraceRecorder) Events() []Event {
 	r.mu.Lock()
-	slots := append([]slot(nil), r.rare...)
+	defer r.mu.Unlock()
+	rare := r.rare
+	n := len(rare)
+	var next [numHot]uint64 // each ring's oldest unmerged sequence number
 	for h := range r.hot {
-		ring := &r.hot[h]
-		for seq := ring.Oldest(); seq <= ring.Newest(); seq++ {
-			slots = append(slots, ring.At(seq))
-		}
+		next[h] = r.hot[h].Oldest()
+		n += int(r.hot[h].Newest() + 1 - next[h])
 	}
-	r.mu.Unlock()
-	sort.Slice(slots, func(i, j int) bool { return slots[i].seq < slots[j].seq })
-	out := make([]Event, len(slots))
-	for i, s := range slots {
-		out[i] = s.ev
+	out := make([]Event, n)
+	for i := range out {
+		src, seq := numHot, uint64(math.MaxUint64) // numHot stands for rare
+		if len(rare) > 0 {
+			seq = rare[0].seq
+		}
+		for h := range r.hot {
+			if next[h] <= r.hot[h].Newest() {
+				if s := r.hot[h].At(next[h]).seq; s < seq {
+					src, seq = h, s
+				}
+			}
+		}
+		if src == numHot {
+			out[i] = rare[0].ev
+			rare = rare[1:]
+		} else {
+			out[i] = r.hot[src].At(next[src]).ev
+			next[src]++
+		}
 	}
 	return out
 }
