@@ -32,12 +32,12 @@ func main() {
 	}
 	fmt.Println()
 	sums := map[perfsim.PredPlacement]float64{}
-	for _, place := range []perfsim.PredPlacement{perfsim.PredNone, perfsim.PredSync, perfsim.PredOffPath} {
-		fmt.Printf("%-18s", place)
-		for _, sz := range perfsim.Fig6RequestSizes {
-			r := perfsim.WriteLatencyMicrobench(tm, place, sz, pageSize, *n, *seed)
+	res, k := perfsim.RunFig6(tm, pageSize, *n, *seed), len(perfsim.Fig6RequestSizes)
+	for row := 0; row < len(res); row += k {
+		fmt.Printf("%-18s", res[row].Placement)
+		for _, r := range res[row : row+k] {
 			fmt.Printf(" %6.1f±%-4.1f", r.MeanNS/1000, r.StdDevNS/1000)
-			sums[place] += r.MeanNS
+			sums[r.Placement] += r.MeanNS
 		}
 		fmt.Println(" (µs)")
 	}

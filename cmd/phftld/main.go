@@ -80,7 +80,7 @@ func run(args []string) int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "phftld: shutting down")
-	// Stop accepting HTTP work first, then interrupt the pool; bound the
+	// Stop accepting HTTP work first, then interrupt the workers; bound the
 	// whole farewell so a wedged cell cannot hold the process hostage.
 	done := make(chan struct{})
 	go func() {

@@ -191,17 +191,9 @@ func (m *MetaStore) emit(kind obs.Kind, mppn nand.PPN) {
 	})
 }
 
-// CacheCapacity returns the cache capacity in meta pages.
-func (m *MetaStore) CacheCapacity() int { return m.capacity }
-
-// CacheLen returns the number of currently cached meta pages.
-func (m *MetaStore) CacheLen() int { return len(m.cache) }
-
-// MPPNFor returns the meta-page PPN holding the entry of the data page at
-// ppn.
-func (m *MetaStore) MPPNFor(ppn nand.PPN) nand.PPN {
-	sb := m.geo.SuperblockOf(ppn)
-	off := m.geo.SuperblockOffset(ppn)
+// mppnFor returns the meta-page PPN holding the entry of the data page at
+// offset off of superblock sb.
+func (m *MetaStore) mppnFor(sb, off int) nand.PPN {
 	return m.geo.SuperblockPPN(sb, m.dataPages+off/m.entriesPerPage)
 }
 
@@ -218,7 +210,7 @@ func (m *MetaStore) Get(ppn nand.PPN) (Entry, error) {
 		m.stats.OpenHits++
 		return buf[off], nil
 	}
-	mppn := m.geo.SuperblockPPN(sb, m.dataPages+off/m.entriesPerPage)
+	mppn := m.mppnFor(sb, off)
 	page, err := m.metaPage(mppn)
 	if err != nil {
 		return Entry{}, err

@@ -227,8 +227,8 @@ func TestMetaStoreLRUEviction(t *testing.T) {
 	data, meta, epp := MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
 	rd := &fakeReader{pages: map[nand.PPN][]byte{}}
 	ms := NewMetaStore(geo, data, meta, epp, 0.0, rd) // floor: 4 pages
-	if ms.CacheCapacity() != 4 {
-		t.Fatalf("capacity = %d, want floor 4", ms.CacheCapacity())
+	if ms.capacity != 4 {
+		t.Fatalf("capacity = %d, want floor 4", ms.capacity)
 	}
 	// Seal 6 superblocks and touch one entry in each.
 	for sb := 0; sb < 6; sb++ {
@@ -242,8 +242,8 @@ func TestMetaStoreLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ms.CacheLen() > 4 {
-		t.Fatalf("cache len = %d exceeds capacity", ms.CacheLen())
+	if len(ms.cache) > 4 {
+		t.Fatalf("cache len = %d exceeds capacity", len(ms.cache))
 	}
 	// Superblock 0's meta page was evicted (LRU): re-access misses again.
 	before := rd.reads
@@ -275,12 +275,12 @@ func TestMetaStoreDropSB(t *testing.T) {
 	if _, err := ms.Get(geo.SuperblockPPN(2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if ms.CacheLen() == 0 {
+	if len(ms.cache) == 0 {
 		t.Fatal("expected cached page")
 	}
 	ms.DropSB(2)
-	if ms.CacheLen() != 0 {
-		t.Fatalf("cache len after drop = %d", ms.CacheLen())
+	if len(ms.cache) != 0 {
+		t.Fatalf("cache len after drop = %d", len(ms.cache))
 	}
 	// Re-access must read flash again (simulating post-erase reuse).
 	before := rd.reads
@@ -310,7 +310,7 @@ func TestMPPNFor(t *testing.T) {
 	data, meta, epp := MetaLayout(geo.PagesPerSuperblock(), geo.PageSize)
 	ms := NewMetaStore(geo, data, meta, epp, 0.01, &fakeReader{})
 	// Entries 0..epp-1 share the first meta page.
-	first := ms.MPPNFor(geo.SuperblockPPN(1, 0))
+	first := ms.mppnFor(1, 0)
 	if got := geo.SuperblockOf(first); got != 1 {
 		t.Errorf("meta page in sb %d", got)
 	}
@@ -318,7 +318,7 @@ func TestMPPNFor(t *testing.T) {
 		t.Errorf("meta page at offset %d, want %d", off, data)
 	}
 	if epp > 1 {
-		second := ms.MPPNFor(geo.SuperblockPPN(1, 1))
+		second := ms.mppnFor(1, 1)
 		if second != first {
 			t.Error("adjacent entries should share a meta page")
 		}
@@ -401,7 +401,7 @@ func (m *metaModel) dropSB(sb int) {
 // seeded random sequences of Put, Seal, Get, Invalidate and DropSB — in the
 // FTL's superblock lifecycle (free -> open -> sealed -> dropped -> free) —
 // against a cache of 4–8 pages, so evictions are frequent. After every
-// operation the returned entry, Stats, CacheLen and the cache events must
+// operation the returned entry, Stats, the cache size and the cache events must
 // agree.
 func TestMetaStoreMatchesModel(t *testing.T) {
 	// 360-byte pages hold 10 entries, so a 32-page superblock splits into
@@ -418,8 +418,8 @@ func TestMetaStoreMatchesModel(t *testing.T) {
 		capacity := 3 + int(seed) // 4..8
 		rd := &fakeReader{pages: map[nand.PPN][]byte{}}
 		ms := NewMetaStore(geo, data, meta, epp, (float64(capacity)+0.5)/float64(totalMeta), rd)
-		if ms.CacheCapacity() != capacity {
-			t.Fatalf("seed %d: capacity = %d, want %d", seed, ms.CacheCapacity(), capacity)
+		if ms.capacity != capacity {
+			t.Fatalf("seed %d: capacity = %d, want %d", seed, ms.capacity, capacity)
 		}
 		log := &eventLog{}
 		ms.SetRecorder(log, nil)
@@ -505,8 +505,8 @@ func TestMetaStoreMatchesModel(t *testing.T) {
 			if got := ms.Stats(); got != mod.stats {
 				t.Fatalf("seed %d op %d (%s): Stats = %+v, want %+v", seed, i, what, got, mod.stats)
 			}
-			if got := ms.CacheLen(); got != len(mod.lru) {
-				t.Fatalf("seed %d op %d (%s): CacheLen = %d, want %d", seed, i, what, got, len(mod.lru))
+			if got := len(ms.cache); got != len(mod.lru) {
+				t.Fatalf("seed %d op %d (%s): cache len = %d, want %d", seed, i, what, got, len(mod.lru))
 			}
 			if len(log.evs) != len(mod.evs) {
 				t.Fatalf("seed %d op %d (%s): %d events, want %d", seed, i, what, len(log.evs), len(mod.evs))

@@ -1,8 +1,8 @@
 // Package fleet is the long-running service counterpart to the batch engine
-// in internal/runner: a supervisor that owns a runner.Pool for the process
-// lifetime and accepts simulation cells at runtime instead of from a fixed
-// list. It implements httpd.Controller, so cmd/phftld can expose it as the
-// control plane of the telemetry server:
+// in internal/runner: a supervisor whose workers live for the process
+// lifetime and take simulation cells from a queue fed at runtime, instead of
+// from a fixed list. It implements httpd.Controller, so cmd/phftld can
+// expose it as the control plane of the telemetry server:
 //
 //	POST /api/v1/cells               -> SubmitCell (validate, journal, enqueue)
 //	POST /api/v1/cells/{name}/cancel -> CancelCell (context-based, cooperative)
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -38,7 +39,7 @@ import (
 // Config sizes a Supervisor. Registry is required; everything else has
 // serviceable zero defaults.
 type Config struct {
-	// Workers is the pool size (<= 0 selects GOMAXPROCS).
+	// Workers is the number of worker goroutines (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Registry receives every cell's lifecycle and replay metrics; the HTTP
 	// endpoints serve from it. Required.
@@ -71,8 +72,8 @@ type entry struct {
 	out        runner.Output
 }
 
-// Supervisor is the fleet service: one long-lived worker pool plus a pending
-// queue fed by SubmitCell. All methods are safe for concurrent use.
+// Supervisor is the fleet service: long-lived workers that pop cells from a
+// pending queue fed by SubmitCell. All methods are safe for concurrent use.
 type Supervisor struct {
 	cfg Config
 
@@ -90,15 +91,14 @@ type Supervisor struct {
 	closed      bool
 	journal     *os.File
 
-	pool         *runner.Pool
-	dispatchDone chan struct{}
+	workers sync.WaitGroup
 }
 
 var _ httpd.Controller = (*Supervisor)(nil)
 
 // New builds a supervisor and, when cfg.JournalPath names an existing
 // journal, replays it: terminal cells are re-registered in their final state,
-// pending cells are re-enqueued. The pool does not start until Start.
+// pending cells are re-enqueued. No worker starts until Start.
 func New(cfg Config) (*Supervisor, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("fleet: Config.Registry is required")
@@ -132,9 +132,9 @@ func New(cfg Config) (*Supervisor, error) {
 	return s, nil
 }
 
-// Start launches the worker pool and the dispatcher. Separate from New so a
-// journal can be inspected (Pending) — or handed to a different process —
-// without running anything.
+// Start launches the workers. Separate from New so a journal can be
+// inspected (Pending) — or handed to a different process — without running
+// anything.
 func (s *Supervisor) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,9 +142,14 @@ func (s *Supervisor) Start() {
 		return
 	}
 	s.started = true
-	s.pool = runner.NewPool(s.cfg.Workers)
-	s.dispatchDone = make(chan struct{})
-	go s.dispatch()
+	n := s.cfg.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	s.workers.Add(n)
+	for w := 0; w < n; w++ {
+		go s.work()
+	}
 }
 
 // SubmitCell validates one submission against the trace/scheme machinery the
@@ -276,15 +281,11 @@ func (s *Supervisor) Shutdown() {
 		return
 	}
 	s.closed = true
-	started := s.started
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	s.stop() // cancels every running cell's context
-	if started {
-		<-s.dispatchDone
-		s.pool.Close()
-	}
+	s.workers.Wait()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,42 +295,35 @@ func (s *Supervisor) Shutdown() {
 	}
 }
 
-// dispatch feeds pending entries to the pool in submission order.
-func (s *Supervisor) dispatch() {
-	defer close(s.dispatchDone)
+// work is one worker: it pops pending entries in submission order and runs
+// them until Shutdown.
+func (s *Supervisor) work() {
+	defer s.workers.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		s.mu.Lock()
 		for len(s.pendingQ) == 0 && !s.closed {
 			s.cond.Wait()
 		}
 		if s.closed {
-			s.mu.Unlock()
 			return
 		}
 		en := s.pendingQ[0]
 		s.pendingQ = s.pendingQ[1:]
-		skip := en.terminal // cancelled while queued
-		s.mu.Unlock()
-		if skip {
-			continue
+		if !en.terminal { // skip cells cancelled while queued
+			s.runEntry(en)
 		}
-		s.pool.Submit(func() { s.runEntry(en) })
 	}
 }
 
-// runEntry executes one cell on a pool worker and classifies the outcome:
-// done, cancelled (user cancel), re-queued (a shutdown interruption), or
-// failed.
+// runEntry executes one popped cell and classifies the outcome: done,
+// cancelled (user cancel), re-queued (a shutdown interruption), or failed.
+// The caller holds s.mu, which runEntry releases while the cell runs.
 func (s *Supervisor) runEntry(en *entry) {
-	s.mu.Lock()
-	if en.terminal || s.closed {
-		s.mu.Unlock()
-		return
-	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
+	defer cancel()
 	en.cancelFn = cancel
 	s.mu.Unlock()
-	defer cancel()
 
 	en.rc.SetState(registry.StateRunning)
 	out := runner.ExecCell(func(runner.Cell) (runner.Output, error) {
@@ -337,7 +331,6 @@ func (s *Supervisor) runEntry(en *entry) {
 	}, runner.Cell{Trace: en.spec.Trace, Scheme: sim.Scheme(en.spec.Scheme), OP: en.spec.OP})
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	en.cancelFn = nil
 	switch {
 	case out.Err == nil:

@@ -209,6 +209,55 @@ func TestCancelWhileRunning(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after 20 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestPendingCountsEveryWaitingCell: with one worker busy, every other
+// submitted cell is still in the queue and Pending counts it. A cell is
+// taken off the queue only by the worker that runs it.
+func TestPendingCountsEveryWaitingCell(t *testing.T) {
+	started := make(chan string, 3)
+	s := newSupervisor(t, Config{Workers: 1, exec: blockingExec(started)})
+	s.Start()
+	for _, tr := range []string{"#52", "#144", "#326"} {
+		if _, err := s.SubmitCell(httpd.CellSpec{Trace: tr, Scheme: "Base"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if got := s.Pending(); got != 2 {
+			t.Fatalf("Pending = %d with 1 cell running and 2 queued, want 2", got)
+		}
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: Shutdown returns only after every worker,
+// busy or idle, has exited, so the process is back to its goroutine count
+// from before New.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	started := make(chan string, 2)
+	s := newSupervisor(t, Config{Workers: 3, exec: blockingExec(started)})
+	s.Start()
+	for _, tr := range []string{"#52", "#144"} {
+		if _, err := s.SubmitCell(httpd.CellSpec{Trace: tr, Scheme: "Base"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	<-started
+	s.Shutdown()
+	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
 // TestCellWorkersLeaveNoGoroutines is the regression test for the leak a
 // PHFTL cell with more than one retraining worker left behind when it did not
 // finish: the helpers used to belong to the instance and were only stopped by
@@ -225,14 +274,6 @@ func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
 		ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 		defer cancel()
 		return smallExec(ctx, spec, rc)
-	}
-	waitFor := func(t *testing.T, what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(20 * time.Second); !cond(); runtime.Gosched() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -271,8 +312,8 @@ func TestCellWorkersLeaveNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestCancelQueued pins cancellation before dispatch: the cell goes terminal
-// immediately and the dispatcher skips it.
+// TestCancelQueued pins cancellation before a worker takes the cell: it goes
+// terminal immediately and the worker that pops it skips it.
 func TestCancelQueued(t *testing.T) {
 	s := newSupervisor(t, Config{Workers: 1, exec: smallExec})
 	name, err := s.SubmitCell(httpd.CellSpec{Trace: "#52", Scheme: "Base", DriveWrites: 1})

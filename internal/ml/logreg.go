@@ -11,9 +11,6 @@ type LogReg struct {
 	B float64
 }
 
-// NewLogReg returns a zero-initialized model for dim-dimensional inputs.
-func NewLogReg(dim int) *LogReg { return &LogReg{W: make([]float64, dim)} }
-
 // Prob returns P(label=1 | x).
 func (m *LogReg) Prob(x []float64) float64 {
 	s := m.B
@@ -32,18 +29,9 @@ func (m *LogReg) Predict(x []float64) int {
 	return 0
 }
 
-// Train fits the model with mini-batch SGD for the given number of epochs.
-func (m *LogReg) Train(features [][]float64, labels []int, epochs int, lr float64, seed int64) {
-	if len(features) == 0 {
-		return
-	}
-	order := make([]int, len(features))
-	m.trainWith(features, labels, epochs, lr, rand.New(rand.NewSource(seed)), order)
-}
-
-// trainWith is Train against caller-owned scratch: rng must be freshly seeded
-// (its stream replaces rand.New(rand.NewSource(seed))) and order must have
-// len(features) elements, which trainWith overwrites.
+// trainWith fits the model with per-example SGD for the given number of
+// epochs. rng must be freshly seeded; order must have len(features)
+// elements, which trainWith overwrites.
 func (m *LogReg) trainWith(features [][]float64, labels []int, epochs int, lr float64, rng *rand.Rand, order []int) {
 	for i := range order {
 		order[i] = i
@@ -124,8 +112,7 @@ func (ev *LogRegEvaluator) Eval(features [][]float64, labels []int, seed int64) 
 	m.B = 0
 	cut := n * 7 / 10
 	if cut < 1 || n-cut < 1 {
-		// LogReg.Train builds its own generator from the same seed, so the
-		// training stream restarts; reseeding reproduces that exactly.
+		// Training restarts the generator from the seed, as below.
 		ev.rng.Seed(seed)
 		m.trainWith(features, labels, 20, 0.1, ev.rng, order)
 		return m.Accuracy(features, labels)

@@ -18,8 +18,8 @@ func TestLogRegLearnsSeparableData(t *testing.T) {
 		feats = append(feats, x)
 		labels = append(labels, label)
 	}
-	m := NewLogReg(2)
-	m.Train(feats, labels, 30, 0.2, 1)
+	m := &LogReg{W: make([]float64, 2)}
+	m.trainWith(feats, labels, 30, 0.2, rand.New(rand.NewSource(1)), make([]int, len(feats)))
 	if acc := m.Accuracy(feats, labels); acc < 0.95 {
 		t.Fatalf("accuracy = %.3f, want >= 0.95", acc)
 	}
@@ -67,8 +67,8 @@ func TestTrainEvalLogRegDegenerate(t *testing.T) {
 }
 
 func TestLogRegEmptyTrain(t *testing.T) {
-	m := NewLogReg(3)
-	m.Train(nil, nil, 5, 0.1, 1) // must not panic
+	m := &LogReg{W: make([]float64, 3)}
+	m.trainWith(nil, nil, 5, 0.1, rand.New(rand.NewSource(1)), nil) // must not panic
 	if m.Accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy should be 0")
 	}

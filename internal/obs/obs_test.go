@@ -484,3 +484,25 @@ func TestReportErasesAndSampling(t *testing.T) {
 		}
 	}
 }
+
+// A run whose meta-cache rings wrapped prints the same trainer line as one
+// whose rings did not: rare kinds never drop, so every training window is
+// retained and the deployed count covers them all.
+func TestReportTrainerLineWrappedRings(t *testing.T) {
+	r := NewTraceRecorder(4)
+	for i := 0; i < 8*HotSampleEvery; i++ {
+		r.Record(Event{Kind: KindMetaCacheMiss, Clock: uint64(i)})
+	}
+	r.Record(Event{Kind: KindWindowRetrain, Clock: 200, A: 100, B: 1, F0: 0.5})
+	r.Record(Event{Kind: KindWindowRetrain, Clock: 300, A: 100, B: 0, F0: 0.25})
+	r.Record(Event{Kind: KindWindowRetrain, Clock: 400, A: 100, B: 1, F0: 0.125})
+	rep := BuildReport(r, nil)
+	if rep.EventsDropped == 0 {
+		t.Fatal("rings did not wrap")
+	}
+	out := rep.String()
+	const want = "  model trainer        3 training windows, 2 deployed, last loss 0.1250\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("report text missing %q:\n%s", want, out)
+	}
+}

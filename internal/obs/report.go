@@ -168,13 +168,8 @@ func (r *Report) String() string {
 			hitRate*100, r.CacheHits, r.CacheMisses, r.CacheEvicts, HotSampleEvery)
 	}
 	if r.Retrains > 0 {
-		fmt.Fprintf(&b, "  model trainer        %d training windows", r.Retrains)
-		if r.EventsDropped > 0 {
-			fmt.Fprintf(&b, " (%d retained: %d deployed)", r.Retrains, r.Deploys)
-		} else {
-			fmt.Fprintf(&b, ", %d deployed", r.Deploys)
-		}
-		fmt.Fprintf(&b, ", last loss %.4f\n", r.LastTrainLoss)
+		fmt.Fprintf(&b, "  model trainer        %d training windows, %d deployed, last loss %.4f\n",
+			r.Retrains, r.Deploys, r.LastTrainLoss)
 	}
 	if r.ThresholdUpdates > 0 {
 		fmt.Fprintf(&b, "  threshold            %d updates: first %.0f, min %.0f, max %.0f, final %.0f\n",

@@ -1,12 +1,12 @@
 // Package runner is the concurrency engine behind the benchmark harnesses:
-// it fans a set of independent (trace, scheme) simulation cells out over a
-// bounded worker pool and re-serializes their outputs in input order, so a
-// parallel run produces byte-identical tables, CSVs and merged JSONL
+// a bounded set of workers claims independent (trace, scheme) simulation
+// cells in input order, and Run re-serializes their outputs in that order,
+// so a parallel run produces byte-identical tables, CSVs and merged JSONL
 // telemetry to a serial one. Each cell's events and samples are buffered by
-// the cell itself; all telemetry writes go through the single collector
-// goroutine, which is the only writer of the shared sink. A cell that fails
-// (error or panic) is reported with its trace/scheme tag and does not abort
-// or corrupt the other cells.
+// the cell itself; Run's calling goroutine writes them all, so it is the
+// only writer of the shared sink. A cell that fails (error or panic) is
+// reported with its trace/scheme tag and does not abort or corrupt the
+// other cells.
 package runner
 
 import (
@@ -85,18 +85,18 @@ func WarnDropped(w io.Writer, outs []Output) {
 }
 
 // Func executes one cell. It runs on a worker goroutine and must not share
-// mutable state with other cells; everything it returns is handed to the
-// collector. A panic is recovered and converted into the cell's error.
+// mutable state with other cells; everything it returns is handed to Run's
+// caller. A panic is recovered and converted into the cell's error.
 type Func func(Cell) (Output, error)
 
 // Options configures a Run.
 type Options struct {
-	// Parallel is the worker-pool size. <= 0 selects runtime.GOMAXPROCS(0).
+	// Parallel is the number of workers. <= 0 selects runtime.GOMAXPROCS(0).
 	Parallel int
 
 	// Telemetry, when non-nil, receives every cell's events and samples as
-	// run-tagged JSONL, in cell input order. Writes are serialized through
-	// the collector goroutine, so a plain *os.File is safe.
+	// run-tagged JSONL, in cell input order. Run's calling goroutine makes
+	// every write, so a plain *os.File is safe.
 	Telemetry io.Writer
 
 	// Progress, when non-nil, receives a carriage-return progress line
@@ -115,11 +115,12 @@ type Options struct {
 	Registry *registry.Registry
 }
 
-// Run executes every cell on a pool of Options.Parallel workers and returns
-// the outputs indexed like cells. The returned error joins every per-cell
+// Run executes every cell on Options.Parallel workers and returns the
+// outputs indexed like cells. The returned error joins every per-cell
 // failure (tagged trace/scheme) plus any telemetry-sink write error; outputs
 // of surviving cells are valid even when some cells failed. Output order,
 // telemetry line order and all output bytes are independent of Parallel.
+// Run returns once every worker has exited.
 func Run(cells []Cell, fn Func, opts Options) ([]Output, error) {
 	if len(cells) == 0 {
 		return nil, nil
@@ -145,24 +146,34 @@ func Run(cells []Cell, fn Func, opts Options) ([]Output, error) {
 		}
 	}
 
-	type completion struct {
-		idx int
-		out Output
+	outputs := make([]Output, len(cells))
+	done := make([]chan struct{}, len(cells))
+	for i := range done {
+		done[i] = make(chan struct{})
 	}
-	completions := make(chan completion)
+	prog := newProgress(opts.Progress, len(cells), opts.Registry)
+	defer prog.stop()
 
-	// The dispatcher feeds the shared Pool (the same worker core the fleet
-	// service runs on) and closes the completion stream once the pool drains.
-	pool := NewPool(workers)
-	go func() {
-		for i := range cells {
-			i := i
-			pool.Submit(func() {
-				if rc := regCells[i]; rc != nil {
+	// Workers claim cells in input order from one counter. Each fills its
+	// cell's outputs slot and closes done[i] when the cell has finished.
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(claimed.Add(1) - 1)
+				if i >= len(cells) {
+					return
+				}
+				rc := regCells[i]
+				if rc != nil {
 					rc.SetState(registry.StateRunning)
 				}
 				out := ExecCell(fn, cells[i])
-				if rc := regCells[i]; rc != nil {
+				outputs[i] = out
+				if rc != nil {
 					if out.Err != nil {
 						rc.SetState(registry.StateFailed)
 					} else {
@@ -170,44 +181,29 @@ func Run(cells []Cell, fn Func, opts Options) ([]Output, error) {
 						rc.SetState(registry.StateDone)
 					}
 				}
-				completions <- completion{i, out}
-			})
-		}
-		pool.Close()
-		close(completions)
-	}()
+				prog.completed.Add(1)
+				prog.print()
+				close(done[i])
+			}
+		}()
+	}
 
-	// The collector is the single consumer of completions and the single
-	// writer of the telemetry sink. Cells complete in any order; emission
-	// is held back until every lower-index cell has been emitted.
-	outputs := make([]Output, len(cells))
+	// The caller is the single writer of the telemetry sink. Cells finish
+	// in any order; each is emitted once every lower-index cell has been.
 	errs := make([]error, len(cells))
 	var sinkErr error
-	pending := make(map[int]Output, workers)
-	next := 0
-	prog := newProgress(opts.Progress, len(cells), opts.Registry)
-	defer prog.stop()
-	for c := range completions {
-		prog.completed.Add(1)
-		pending[c.idx] = c.out
-		for {
-			out, ok := pending[next]
-			if !ok {
-				break
+	for i := range cells {
+		<-done[i]
+		out := outputs[i]
+		if out.Err != nil {
+			errs[i] = out.Err
+		} else if opts.Telemetry != nil && sinkErr == nil && (len(out.Events) > 0 || len(out.Samples) > 0) {
+			if err := obs.WriteJSONL(opts.Telemetry, out.Cell.RunTag(), out.Events, out.Samples); err != nil {
+				sinkErr = fmt.Errorf("runner: telemetry sink: %w", err)
 			}
-			delete(pending, next)
-			if out.Err != nil {
-				errs[next] = out.Err
-			} else if opts.Telemetry != nil && sinkErr == nil && (len(out.Events) > 0 || len(out.Samples) > 0) {
-				if err := obs.WriteJSONL(opts.Telemetry, out.Cell.RunTag(), out.Events, out.Samples); err != nil {
-					sinkErr = fmt.Errorf("runner: telemetry sink: %w", err)
-				}
-			}
-			outputs[next] = out
-			next++
 		}
-		prog.print()
 	}
+	wg.Wait()
 	prog.stop()
 	return outputs, errors.Join(append(errs, sinkErr)...)
 }
