@@ -32,9 +32,11 @@ fma-off:
 allocs:
 	$(GO) test -count=1 -run 'ZeroAlloc|BytesCeiling' ./internal/core ./internal/ml ./internal/nand ./internal/obs ./internal/obs/httpd ./internal/obs/registry ./internal/par
 
-## loc: the size measure ROADMAP tracks — non-test Go lines outside bench/.
+## loc: the size measure ROADMAP tracks — non-test Go lines outside bench/ —
+## then, on a second line, the assembly (.s) lines outside bench/.
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
+	@git ls-files '*.s' | grep -v '^bench/' | xargs cat | wc -l
 
 ## smoke: short parallel wabench sweep under -race — catches regressions in
 ## the runner's telemetry-sink serialization that unit tests can miss.

@@ -156,10 +156,13 @@ func (s *Supervisor) Start() {
 // batch harnesses use, registers it queued, journals it and enqueues it.
 // Implements httpd.Controller.
 func (s *Supervisor) SubmitCell(spec httpd.CellSpec) (string, error) {
-	if strings.TrimSpace(spec.Trace) == "" {
+	// The parsers below trim each field; the cell is named, journaled and
+	// run under the trimmed values they accepted.
+	spec.Trace, spec.Scheme = strings.TrimSpace(spec.Trace), strings.TrimSpace(spec.Scheme)
+	if spec.Trace == "" {
 		return "", errors.New("fleet: cell spec missing trace")
 	}
-	if strings.TrimSpace(spec.Scheme) == "" {
+	if spec.Scheme == "" {
 		return "", errors.New("fleet: cell spec missing scheme")
 	}
 	profiles, err := runner.ParseTraces(spec.Trace)

@@ -83,6 +83,35 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// storedSpec returns the spec the supervisor keeps for a cell: the one it
+// journals and runs.
+func (s *Supervisor) storedSpec(name string) httpd.CellSpec {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[name].spec
+}
+
+// TestSubmitTrimsFields: a spec whose fields carry padding is named,
+// stored and run under the trimmed values its validation accepted.
+func TestSubmitTrimsFields(t *testing.T) {
+	s := newSupervisor(t, Config{exec: smallExec})
+	name, err := s.SubmitCell(httpd.CellSpec{Trace: " #52", Scheme: "Base ", DriveWrites: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name != "#52/Base@j1" {
+		t.Fatalf("name = %q, want %q", name, "#52/Base@j1")
+	}
+	if spec := s.storedSpec(name); spec.Trace != "#52" || spec.Scheme != "Base" {
+		t.Fatalf("stored spec %q/%q", spec.Trace, spec.Scheme)
+	}
+	s.Start()
+	s.Drain()
+	if st := s.cfg.Registry.Cell(name).State(); st != registry.StateDone {
+		t.Fatalf("cell %s ended %v", name, st)
+	}
+}
+
 // render flattens an output for NaN-safe byte comparison (fmt prints NaN
 // consistently; json.Marshal rejects it).
 func render(out runner.Output) string {

@@ -20,26 +20,49 @@ type gruCell struct {
 	Wr, Ur, Br *Tensor
 	Wc, Uc, Bc *Tensor
 
-	// scr holds step's gate intermediates; forward reuses one gruTrace
-	// arena across samples (steps counts the last sequence's), and backward
-	// ping-pongs two dhPrev buffers, so neither inference nor a training
-	// epoch allocates per call.
-	scr                gruTrace
-	arena              []gruTrace
-	steps              int
-	zero               []float64 // all-zero initial hidden state; never written
-	bwA, bwB           []float64
-	daZ, daR, daC, drh []float64
+	// scr holds step's gate intermediates. forward keeps a sequence's
+	// intermediates in seq, which ShardedTrainer sizes once per training
+	// set from its longest sequence (reserve), and backward ping-pongs two
+	// dhPrev buffers, so neither inference nor a training epoch allocates
+	// per call.
+	scr      gruTrace
+	seq      gruSeq
+	steps    int
+	bwA, bwB []float64
+	drh      []float64
 }
 
-// gruTrace holds one step's intermediates for backpropagation.
+// gruTrace holds one step's gate intermediates.
 type gruTrace struct {
-	x, hPrev, z, r, c, rh, h []float64
+	z, r, c, rh []float64
 }
+
+// gruSeq holds a sequence's per-step values as matrices with one row per
+// step, row t for step t, so that backward hands each gate's whole sequence
+// to outerAddGradSeq.
+type gruSeq struct {
+	x             []float64 // the inputs, in wide
+	h             []float64 // row t: step t's previous state (row 0 the zero state, never written); row t+1: its output
+	z, r, c, rh   []float64
+	daZ, daR, daC []float64 // the gate pre-activation gradients backward computes
+	cap           int
+}
+
+// grow makes room for steps steps of in-wide inputs over H hidden units.
+func (s *gruSeq) grow(steps, in, H int) {
+	if s.h != nil && steps <= s.cap {
+		return
+	}
+	*s = gruSeq{cap: steps, x: make([]float64, steps*in), h: make([]float64, (steps+1)*H)}
+	vecs(steps*H, &s.z, &s.r, &s.c, &s.rh, &s.daZ, &s.daR, &s.daC)
+}
+
+// row returns row t of a matrix of width w.
+func row(m []float64, t, w int) []float64 { return m[t*w : t*w+w] }
 
 func newGRUTrace(hidden int) gruTrace {
 	var t gruTrace
-	vecs(hidden, &t.z, &t.r, &t.c, &t.rh, &t.h)
+	vecs(hidden, &t.z, &t.r, &t.c, &t.rh)
 	return t
 }
 
@@ -56,7 +79,7 @@ func NewGRUNet(in, hidden, classes int, rng *rand.Rand) *Net {
 func (g *gruCell) init() *gruCell {
 	H := g.Wz.Rows
 	g.scr = newGRUTrace(H)
-	vecs(H, &g.zero, &g.bwA, &g.bwB, &g.daZ, &g.daR, &g.daC, &g.drh)
+	vecs(H, &g.bwA, &g.bwB, &g.drh)
 	return g
 }
 
@@ -81,67 +104,75 @@ func (g *gruCell) step(hPrev, x, hOut []float64) { g.stepInto(hPrev, x, &g.scr, 
 func (g *gruCell) stepInto(hPrev, x []float64, s *gruTrace, hOut []float64) {
 	z, r, c, rh := s.z, s.r, s.c, s.rh
 	matVec2(g.Wz, g.Wr, g.Uz, g.Ur, x, hPrev, z, r)
-	sigmoidAdd(z, z, g.Bz.Data)
-	sigmoidAdd(r, r, g.Br.Data)
+	sigmoidAdd(z, z, g.Bz.data)
+	sigmoidAdd(r, r, g.Br.data)
 	for i := range rh {
 		rh[i] = r[i] * hPrev[i]
 	}
 	matVecPair(g.Wc, g.Uc, x, rh, c)
-	tanhAdd(c, c, g.Bc.Data)
+	tanhAdd(c, c, g.Bc.data)
 	for i, ci := range c {
 		hOut[i] = (1-z[i])*hPrev[i] + z[i]*ci
 	}
 }
 
+func (g *gruCell) reserve(steps int) { g.seq.grow(steps, g.Wz.Cols, g.Wz.Rows) }
+
 func (g *gruCell) forward(seq [][]float64) []float64 {
-	for len(g.arena) < len(seq) {
-		g.arena = append(g.arena, newGRUTrace(g.Wz.Rows))
-	}
+	H, in := g.Wz.Rows, g.Wz.Cols
+	a := &g.seq
+	g.reserve(len(seq))
 	g.steps = len(seq)
-	h := g.zero
-	for i, x := range seq {
-		tr := &g.arena[i]
-		tr.x, tr.hPrev = x, h // h is the previous trace's output: stable until the next forward
-		g.stepInto(h, x, tr, tr.h)
-		h = tr.h
+	for t, x := range seq {
+		xt := row(a.x, t, in)
+		copy(xt, x)
+		tr := gruTrace{z: row(a.z, t, H), r: row(a.r, t, H), c: row(a.c, t, H), rh: row(a.rh, t, H)}
+		g.stepInto(row(a.h, t, H), xt, &tr, row(a.h, t+1, H))
 	}
-	return h
+	return row(a.h, len(seq), H)
 }
 
+// backward runs the dh recurrence step by step, recording each step's gate
+// gradients, then accumulates every weight gradient over the whole sequence
+// at once; each gradient element meets its steps in the same descending
+// order as when they were added step by step.
 func (g *gruCell) backward(dh []float64) {
-	H := g.Wz.Rows
-	daZ, daR, daC, drh := g.daZ, g.daR, g.daC, g.drh
+	H, T := g.Wz.Rows, g.steps
+	a := &g.seq
+	drh := g.drh
 	// dhPrev buffers ping-pong: the target is always distinct from the
 	// current dh (which on the first step is the caller's slice).
 	spare, next := g.bwA, g.bwB
-	for t := g.steps - 1; t >= 0; t-- {
-		tr := &g.arena[t]
+	for t := T - 1; t >= 0; t-- {
+		zt, rt, ct, hPrev := row(a.z, t, H), row(a.r, t, H), row(a.c, t, H), row(a.h, t, H)
+		daZ, daR, daC := row(a.daZ, t, H), row(a.daR, t, H), row(a.daC, t, H)
 		dhPrev := spare
 		for i := 0; i < H; i++ {
-			z, c := tr.z[i], tr.c[i]
+			z, c := zt[i], ct[i]
 			daC[i] = dh[i] * z * (1 - c*c)
-			daZ[i] = dh[i] * (c - tr.hPrev[i]) * z * (1 - z)
+			daZ[i] = dh[i] * (c - hPrev[i]) * z * (1 - z)
 			dhPrev[i] = dh[i] * (1 - z)
 		}
-		outerAddGrad(g.Wc, daC, tr.x)
-		outerAddGrad(g.Uc, daC, tr.rh)
-		addGrad(g.Bc, daC)
 		clear(drh)
 		matTVecAdd(g.Uc, daC, drh)
 		for i := 0; i < H; i++ {
-			r := tr.r[i]
+			r := rt[i]
 			dhPrev[i] += drh[i] * r
-			daR[i] = drh[i] * tr.hPrev[i] * r * (1 - r)
+			daR[i] = drh[i] * hPrev[i] * r * (1 - r)
 		}
-		outerAddGrad(g.Wz, daZ, tr.x)
-		outerAddGrad(g.Wr, daR, tr.x)
-		outerAddGrad(g.Uz, daZ, tr.hPrev)
-		outerAddGrad(g.Ur, daR, tr.hPrev)
-		addGrad(g.Bz, daZ)
-		addGrad(g.Br, daR)
 		matTVecAdd(g.Uz, daZ, dhPrev)
 		matTVecAdd(g.Ur, daR, dhPrev)
 		dh = dhPrev
 		spare, next = next, spare
 	}
+	// Rows 0..T-1 of a.h are the steps' previous states.
+	outerAddGradSeq(g.Wc, a.daC, a.x, T)
+	outerAddGradSeq(g.Uc, a.daC, a.rh, T)
+	addGradSeq(g.Bc, a.daC, T)
+	outerAddGradSeq(g.Wz, a.daZ, a.x, T)
+	outerAddGradSeq(g.Wr, a.daR, a.x, T)
+	outerAddGradSeq(g.Uz, a.daZ, a.h, T)
+	outerAddGradSeq(g.Ur, a.daR, a.h, T)
+	addGradSeq(g.Bz, a.daZ, T)
+	addGradSeq(g.Br, a.daR, T)
 }

@@ -23,26 +23,52 @@ type lstmCell struct {
 	Wo, Uo, Bo *Tensor
 	Wg, Ug, Bg *Tensor
 
-	// Scratch, as in gruCell: step's intermediates, forward's trace arena
-	// and backward's ping-pong buffers.
+	// Scratch, as in gruCell: step's intermediates, forward's per-step
+	// matrices and backward's ping-pong buffers.
 	scr                lstmTrace
-	arena              []lstmTrace
+	seq                lstmSeq
 	steps              int
-	zero               []float64 // all-zero initial h and c; never written
 	dhA, dhB, dcA, dcB []float64
-	daI, daF, daO, daG []float64
 }
 
-// lstmTrace holds one step's intermediates for backpropagation.
+// lstmTrace holds one step's gates, tanh(c) and clamp flags.
 type lstmTrace struct {
-	x, hPrev, cPrev      []float64
-	i, f, o, g, tc, h, c []float64
-	clamped              []bool
+	i, f, o, g, tc []float64
+	clamped        []bool
+}
+
+// lstmSeq holds a sequence's per-step values, row t for step t, as gruSeq
+// does.
+type lstmSeq struct {
+	x                  []float64 // the inputs, in wide
+	h, c               []float64 // row t: step t's previous h and c (row 0 zero, never written); row t+1: its outputs
+	i, f, o, g, tc     []float64
+	clamped            []bool
+	daI, daF, daO, daG []float64 // the gate pre-activation gradients backward computes
+	cap                int
+}
+
+// grow makes room for steps steps of in-wide inputs over H hidden units.
+func (s *lstmSeq) grow(steps, in, H int) {
+	if s.h != nil && steps <= s.cap {
+		return
+	}
+	*s = lstmSeq{cap: steps, x: make([]float64, steps*in), clamped: make([]bool, steps*H)}
+	vecs((steps+1)*H, &s.h, &s.c)
+	vecs(steps*H, &s.i, &s.f, &s.o, &s.g, &s.tc, &s.daI, &s.daF, &s.daO, &s.daG)
+}
+
+// at returns step t's trace, rows of s.
+func (s *lstmSeq) at(t, H int) lstmTrace {
+	return lstmTrace{
+		i: row(s.i, t, H), f: row(s.f, t, H), o: row(s.o, t, H), g: row(s.g, t, H), tc: row(s.tc, t, H),
+		clamped: s.clamped[t*H : t*H+H],
+	}
 }
 
 func newLSTMTrace(hidden int) lstmTrace {
 	t := lstmTrace{clamped: make([]bool, hidden)}
-	vecs(hidden, &t.i, &t.f, &t.o, &t.g, &t.tc, &t.h, &t.c)
+	vecs(hidden, &t.i, &t.f, &t.o, &t.g, &t.tc)
 	return t
 }
 
@@ -57,16 +83,18 @@ func NewLSTMNet(in, hidden, classes int, rng *rand.Rand) *Net {
 	n := newNet(l, hidden, classes, rng)
 	// Forget-gate bias initialized positive, the standard LSTM trick for
 	// gradient flow early in training.
-	for i := range l.Bf.Data {
-		l.Bf.Data[i] = 1
-	}
+	l.Bf.update(func(w []float64) {
+		for i := range w {
+			w[i] = 1
+		}
+	})
 	return n
 }
 
 func (l *lstmCell) init() *lstmCell {
 	H := l.Wi.Rows
 	l.scr = newLSTMTrace(H)
-	vecs(H, &l.zero, &l.dhA, &l.dhB, &l.dcA, &l.dcB, &l.daI, &l.daF, &l.daO, &l.daG)
+	vecs(H, &l.dhA, &l.dhB, &l.dcA, &l.dcB)
 	return l
 }
 
@@ -102,10 +130,10 @@ func (l *lstmCell) step(statePrev, x, stateOut []float64) {
 func (l *lstmCell) stepInto(hPrev, cPrev, x []float64, s *lstmTrace, hOut, cOut []float64) {
 	matVec2(l.Wi, l.Wf, l.Ui, l.Uf, x, hPrev, s.i, s.f)
 	matVec2(l.Wo, l.Wg, l.Uo, l.Ug, x, hPrev, s.o, s.g)
-	sigmoidAdd(s.i, s.i, l.Bi.Data)
-	sigmoidAdd(s.f, s.f, l.Bf.Data)
-	sigmoidAdd(s.o, s.o, l.Bo.Data)
-	tanhAdd(s.g, s.g, l.Bg.Data)
+	sigmoidAdd(s.i, s.i, l.Bi.data)
+	sigmoidAdd(s.f, s.f, l.Bf.data)
+	sigmoidAdd(s.o, s.o, l.Bo.data)
+	tanhAdd(s.g, s.g, l.Bg.data)
 	for k, gk := range s.g {
 		ck := s.f[k]*cPrev[k] + s.i[k]*gk
 		// Clamp the cell into (−1,1) so the persisted state stays int8-able.
@@ -118,31 +146,37 @@ func (l *lstmCell) stepInto(hPrev, cPrev, x []float64, s *lstmTrace, hOut, cOut 
 	}
 }
 
+func (l *lstmCell) reserve(steps int) { l.seq.grow(steps, l.Wi.Cols, l.Wi.Rows) }
+
 func (l *lstmCell) forward(seq [][]float64) []float64 {
-	for len(l.arena) < len(seq) {
-		l.arena = append(l.arena, newLSTMTrace(l.Wi.Rows))
-	}
+	H, in := l.Wi.Rows, l.Wi.Cols
+	a := &l.seq
+	l.reserve(len(seq))
 	l.steps = len(seq)
-	h, c := l.zero, l.zero
 	for t, x := range seq {
-		tr := &l.arena[t]
-		tr.x, tr.hPrev, tr.cPrev = x, h, c
-		l.stepInto(h, c, x, tr, tr.h, tr.c)
-		h, c = tr.h, tr.c
+		xt := row(a.x, t, in)
+		copy(xt, x)
+		tr := a.at(t, H)
+		l.stepInto(row(a.h, t, H), row(a.c, t, H), xt, &tr, row(a.h, t+1, H), row(a.c, t+1, H))
 	}
-	return h
+	return row(a.h, len(seq), H)
 }
 
+// backward runs the recurrence and accumulates the weight gradients over
+// the whole sequence afterwards, as gruCell.backward does.
 func (l *lstmCell) backward(dh []float64) {
-	daI, daF, daO, daG := l.daI, l.daF, l.daO, l.daG
+	H, T := l.Wi.Rows, l.steps
+	a := &l.seq
 	// Both gradients ping-pong between two buffers; dc starts at zero in
 	// dcB, so the first dcPrev is dcA.
 	dc := l.dcB
 	clear(dc)
 	spareH, nextH := l.dhA, l.dhB
 	spareC, nextC := l.dcA, l.dcB
-	for t := l.steps - 1; t >= 0; t-- {
-		tr := &l.arena[t]
+	for t := T - 1; t >= 0; t-- {
+		tr := a.at(t, H)
+		cPrev := row(a.c, t, H)
+		daI, daF, daO, daG := row(a.daI, t, H), row(a.daF, t, H), row(a.daO, t, H), row(a.daG, t, H)
 		dhPrev, dcPrev := spareH, spareC
 		for k := range dcPrev {
 			// h = o · tanh(c)
@@ -152,7 +186,7 @@ func (l *lstmCell) backward(dh []float64) {
 				dcTot = 0 // gradient does not flow through the clamp
 			}
 			di := dcTot * tr.g[k]
-			df := dcTot * tr.cPrev[k]
+			df := dcTot * cPrev[k]
 			dg := dcTot * tr.i[k]
 			dcPrev[k] = dcTot * tr.f[k]
 			daI[k] = di * tr.i[k] * (1 - tr.i[k])
@@ -160,18 +194,6 @@ func (l *lstmCell) backward(dh []float64) {
 			daO[k] = do * tr.o[k] * (1 - tr.o[k])
 			daG[k] = dg * (1 - tr.g[k]*tr.g[k])
 		}
-		outerAddGrad(l.Wi, daI, tr.x)
-		outerAddGrad(l.Wf, daF, tr.x)
-		outerAddGrad(l.Wo, daO, tr.x)
-		outerAddGrad(l.Wg, daG, tr.x)
-		outerAddGrad(l.Ui, daI, tr.hPrev)
-		outerAddGrad(l.Uf, daF, tr.hPrev)
-		outerAddGrad(l.Uo, daO, tr.hPrev)
-		outerAddGrad(l.Ug, daG, tr.hPrev)
-		addGrad(l.Bi, daI)
-		addGrad(l.Bf, daF)
-		addGrad(l.Bo, daO)
-		addGrad(l.Bg, daG)
 		clear(dhPrev)
 		matTVecAdd(l.Ui, daI, dhPrev)
 		matTVecAdd(l.Uf, daF, dhPrev)
@@ -181,4 +203,17 @@ func (l *lstmCell) backward(dh []float64) {
 		spareH, nextH = nextH, spareH
 		spareC, nextC = nextC, spareC
 	}
+	// Rows 0..T-1 of a.h are the steps' previous h.
+	outerAddGradSeq(l.Wi, a.daI, a.x, T)
+	outerAddGradSeq(l.Wf, a.daF, a.x, T)
+	outerAddGradSeq(l.Wo, a.daO, a.x, T)
+	outerAddGradSeq(l.Wg, a.daG, a.x, T)
+	outerAddGradSeq(l.Ui, a.daI, a.h, T)
+	outerAddGradSeq(l.Uf, a.daF, a.h, T)
+	outerAddGradSeq(l.Uo, a.daO, a.h, T)
+	outerAddGradSeq(l.Ug, a.daG, a.h, T)
+	addGradSeq(l.Bi, a.daI, T)
+	addGradSeq(l.Bf, a.daF, T)
+	addGradSeq(l.Bo, a.daO, T)
+	addGradSeq(l.Bg, a.daG, T)
 }

@@ -53,14 +53,15 @@ func TestGradientCheck(t *testing.T) {
 				probe := n.CloneModel()
 				for ti, tensor := range n.Params() {
 					pt := probe.Params()[ti]
-					for idx := 0; idx < len(tensor.Data); idx += 3 { // every 3rd element
+					for idx := 0; idx < len(tensor.data); idx += 3 { // every 3rd element
 						const eps = 1e-5
-						orig := pt.Data[idx]
-						pt.Data[idx] = orig + eps
+						orig := pt.data[idx]
+						poke := func(v float64) { pt.update(func(w []float64) { w[idx] = v }) }
+						poke(orig + eps)
 						plus := probe.AccumulateGradients(seq, label)
-						pt.Data[idx] = orig - eps
+						poke(orig - eps)
 						minus := probe.AccumulateGradients(seq, label)
-						pt.Data[idx] = orig
+						poke(orig)
 						want := (plus - minus) / (2 * eps)
 						got := tensor.Grad[idx]
 						if diff := math.Abs(got - want); diff > 1e-6+1e-4*math.Abs(want) {
@@ -109,9 +110,9 @@ func TestCloneIsDeep(t *testing.T) {
 			c := n.CloneModel()
 			cp := c.Params()
 			for i, p := range n.Params() {
-				p.Data[0] = 999
+				p.Set(0, 0, 999)
 				p.Grad[0] = 999
-				if cp[i].Data[0] == 999 || cp[i].Grad[0] == 999 {
+				if cp[i].data[0] == 999 || cp[i].Grad[0] == 999 {
 					t.Fatalf("param %d: clone shares storage", i)
 				}
 			}
@@ -131,8 +132,8 @@ func TestShadowCloneSharesWeightsPrivatelyGrads(t *testing.T) {
 				t.Fatalf("param count mismatch: %d vs %d", len(mp), len(sp))
 			}
 			for i := range mp {
-				if &mp[i].Data[0] != &sp[i].Data[0] {
-					t.Fatalf("param %d: shadow does not share Data", i)
+				if &mp[i].data[0] != &sp[i].data[0] {
+					t.Fatalf("param %d: shadow does not share data", i)
 				}
 				if &mp[i].Grad[0] == &sp[i].Grad[0] {
 					t.Fatalf("param %d: shadow shares Grad", i)
@@ -163,9 +164,9 @@ func TestQuantizeModelMatchesSync(t *testing.T) {
 				}
 				wp := want.Params()
 				for i, p := range dst.Params() {
-					for j, v := range p.Data {
-						if math.Float64bits(v) != math.Float64bits(wp[i].Data[j]) {
-							t.Fatalf("quantize=%v param %d elem %d: sync %v, fresh %v", quantize, i, j, v, wp[i].Data[j])
+					for j, v := range p.data {
+						if math.Float64bits(v) != math.Float64bits(wp[i].data[j]) {
+							t.Fatalf("quantize=%v param %d elem %d: sync %v, fresh %v", quantize, i, j, v, wp[i].data[j])
 						}
 					}
 				}
@@ -241,10 +242,10 @@ func TestQuantizeModelVariants(t *testing.T) {
 		}
 		// Quantization is idempotent on the grid.
 		for i, tensor := range q.Params() {
-			before := append([]float64(nil), tensor.Data...)
+			before := append([]float64(nil), tensor.data...)
 			QuantizeTensor(q.Params()[i])
 			for j := range before {
-				if math.Abs(before[j]-q.Params()[i].Data[j]) > 1e-9 {
+				if math.Abs(before[j]-q.Params()[i].data[j]) > 1e-9 {
 					t.Fatalf("quantization not idempotent at %d/%d", i, j)
 					break
 				}
@@ -289,5 +290,110 @@ func TestMLPIgnoresHistory(t *testing.T) {
 	b := n.Predict([][]float64{last})
 	if a != b {
 		t.Error("MLP prediction depends on history")
+	}
+}
+
+// netBits runs n on one kernel path: PredictInto over seq from the zero
+// state, then AccumulateGradients on seq into zeroed gradients. It returns
+// every state, class, the loss and every gradient as bits.
+func netBits(t *testing.T, n *Net, seq [][]float64, simd bool) []uint64 {
+	var out []uint64
+	withPath(t, simd, func() {
+		state := make([]float64, n.StateSize())
+		for _, x := range seq {
+			out = append(out, uint64(n.PredictInto(state, x, state)))
+			for _, v := range state {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+		n.ZeroGrad()
+		out = append(out, math.Float64bits(n.AccumulateGradients(seq, 1)))
+		for _, p := range n.Params() {
+			for _, g := range p.Grad {
+				out = append(out, math.Float64bits(g))
+			}
+		}
+	})
+	return out
+}
+
+// TestWeightWritersKeepPacksFresh builds each network at the production
+// shape through every constructor and every writer of its weights, and
+// requires PredictInto and AccumulateGradients to give the Go loops' bits
+// on the AVX2 kernels. The forward kernels read the packed copy of the
+// weights and the Go loops the row-major one, so a writer that left the
+// packed copy stale fails here.
+func TestWeightWritersKeepPacksFresh(t *testing.T) {
+	if !simdHost {
+		t.Skip("no AVX2 kernels on this host")
+	}
+	const in, hidden = 20, 32
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			seq := randSeq(rng, 6, in)
+			samples := shardedTestSamples(80, in, 22)
+			newNet := func(seed int64) *Net { return tc.make(in, hidden, 2, rand.New(rand.NewSource(seed))) }
+
+			src := newNet(1)
+			nets := []struct {
+				name  string
+				build func() *Net
+			}{
+				{"constructor", func() *Net { return newNet(2) }},
+				{"CloneModel", src.CloneModel},
+				{"QuantizeModel", src.QuantizeModel},
+				{"SyncModel/quantize", func() *Net {
+					dst := newNet(3)
+					SyncModel(dst, src, true)
+					return dst
+				}},
+				{"SyncModel/copy", func() *Net {
+					dst := newNet(3)
+					SyncModel(dst, src, false)
+					return dst
+				}},
+				{"ShardedTrainer", func() *Net {
+					m := newNet(4)
+					NewShardedTrainer(4).Train(m, samples, NewAdam(0.05), DefaultTrainConfig())
+					return m
+				}},
+				{"TrainModel", func() *Net {
+					m := newNet(5)
+					TrainModel(m, samples, NewAdam(0.05), DefaultTrainConfig())
+					return m
+				}},
+				{"ShadowClone of a trained master", func() *Net {
+					m := newNet(6)
+					sh := m.ShadowClone()
+					TrainModel(m, samples, NewAdam(0.05), DefaultTrainConfig())
+					return sh
+				}},
+				{"poke", func() *Net {
+					m := newNet(7)
+					for _, p := range m.Params() {
+						idx := len(p.data) / 3
+						p.update(func(w []float64) { w[idx] += 0.5 })
+					}
+					return m
+				}},
+				{"Set", func() *Net {
+					m := newNet(8)
+					for _, p := range m.Params() {
+						p.Set(p.Rows-1, p.Cols/2, -0.75)
+					}
+					return m
+				}},
+			}
+			for _, b := range nets {
+				n := b.build()
+				want, got := netBits(t, n, seq, false), netBits(t, n, seq, true)
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("%s: value %d is %#x on the AVX2 kernels, %#x on the Go loops", b.name, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ const HiddenScale = 127.0
 // returning the scale used. A zero tensor gets scale 0.
 func QuantizeTensor(t *Tensor) float64 {
 	maxAbs := 0.0
-	for _, v := range t.Data {
+	for _, v := range t.data {
 		if a := math.Abs(v); a > maxAbs {
 			maxAbs = a
 		}
@@ -27,15 +27,17 @@ func QuantizeTensor(t *Tensor) float64 {
 		return 0
 	}
 	scale := maxAbs / 127.0
-	for i, v := range t.Data {
-		q := math.Round(v / scale)
-		if q > 127 {
-			q = 127
-		} else if q < -127 {
-			q = -127
+	t.update(func(w []float64) {
+		for i, v := range w {
+			q := math.Round(v / scale)
+			if q > 127 {
+				q = 127
+			} else if q < -127 {
+				q = -127
+			}
+			w[i] = q * scale
 		}
-		t.Data[i] = q * scale
-	}
+	})
 	return scale
 }
 

@@ -9,12 +9,12 @@ import (
 
 func TestQuantizeTensorGrid(t *testing.T) {
 	tensor := NewTensor(1, 5)
-	copy(tensor.Data, []float64{-1.0, -0.5, 0, 0.5, 1.0})
+	tensor.update(func(w []float64) { copy(w, []float64{-1.0, -0.5, 0, 0.5, 1.0}) })
 	scale := QuantizeTensor(tensor)
 	if scale <= 0 {
 		t.Fatalf("scale = %v", scale)
 	}
-	for i, v := range tensor.Data {
+	for i, v := range tensor.data {
 		q := v / scale
 		if math.Abs(q-math.Round(q)) > 1e-9 {
 			t.Errorf("elem %d = %v is not on the int8 grid (scale %v)", i, v, scale)
@@ -32,15 +32,17 @@ func TestQuantizeTensorGrid(t *testing.T) {
 func TestQuantizeErrorBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	tensor := NewTensor(8, 8)
-	for i := range tensor.Data {
-		tensor.Data[i] = rng.NormFloat64()
-	}
-	orig := append([]float64(nil), tensor.Data...)
+	tensor.update(func(w []float64) {
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+	})
+	orig := append([]float64(nil), tensor.data...)
 	scale := QuantizeTensor(tensor)
-	for i := range tensor.Data {
-		if math.Abs(tensor.Data[i]-orig[i]) > scale/2+1e-12 {
+	for i := range tensor.data {
+		if math.Abs(tensor.data[i]-orig[i]) > scale/2+1e-12 {
 			t.Errorf("elem %d error %v exceeds half a quantization step %v",
-				i, math.Abs(tensor.Data[i]-orig[i]), scale/2)
+				i, math.Abs(tensor.data[i]-orig[i]), scale/2)
 		}
 	}
 }

@@ -146,6 +146,13 @@ func (t *ShardedTrainer) Train(m *Net, samples []Sample, opt *Adam, cfg TrainCon
 		batch = 32
 	}
 	t.samples = samples
+	longest := 0
+	for _, s := range samples {
+		longest = max(longest, len(s.Seq))
+	}
+	for _, sh := range t.shadows {
+		sh.cell.reserve(longest)
+	}
 	pool := par.New(t.trainWorkers()) // nil, i.e. serial, below two workers
 	defer pool.Close()
 	t.poolLanes = pool.Lanes()

@@ -38,8 +38,8 @@ func weightsBits(m *Net) [][]uint64 {
 	params := m.Params()
 	out := make([][]uint64, len(params))
 	for i, p := range params {
-		bits := make([]uint64, len(p.Data))
-		for j, v := range p.Data {
+		bits := make([]uint64, len(p.data))
+		for j, v := range p.data {
 			bits[j] = math.Float64bits(v)
 		}
 		out[i] = bits

@@ -28,8 +28,8 @@ func (a *Adam) Update(params []*Tensor, batch int) {
 		a.m = make([][]float64, len(params))
 		a.v = make([][]float64, len(params))
 		for i, p := range params {
-			a.m[i] = make([]float64, len(p.Data))
-			a.v[i] = make([]float64, len(p.Data))
+			a.m[i] = make([]float64, len(p.data))
+			a.v[i] = make([]float64, len(p.data))
 		}
 	}
 	a.step++
@@ -41,14 +41,16 @@ func (a *Adam) Update(params []*Tensor, batch int) {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for i, p := range params {
 		m, v := a.m[i], a.v[i]
-		for j := range p.Data {
-			g := p.Grad[j] * scale
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mHat := m[j] / bc1
-			vHat := v[j] / bc2
-			p.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		p.update(func(w []float64) {
+			for j := range w {
+				g := p.Grad[j] * scale
+				m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
+				v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+				mHat := m[j] / bc1
+				vHat := v[j] / bc2
+				w[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			}
+		})
 	}
 }
 
