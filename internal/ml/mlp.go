@@ -35,13 +35,23 @@ func (m *mlpCell) step(_, x, out []float64) {
 
 func (m *mlpCell) reserve(int) {}
 
+// forward of the empty sequence returns the zero head input, as the
+// recurrent cells return their zero state; backward then adds no gradient.
 func (m *mlpCell) forward(seq [][]float64) []float64 {
+	if len(seq) == 0 {
+		m.x = nil
+		clear(m.h)
+		return m.h
+	}
 	m.x = seq[len(seq)-1]
 	m.step(nil, m.x, m.h)
 	return m.h
 }
 
 func (m *mlpCell) backward(dh []float64) {
+	if m.x == nil {
+		return
+	}
 	for i := range dh {
 		dh[i] *= 1 - m.h[i]*m.h[i] // through tanh
 	}

@@ -282,6 +282,34 @@ func TestLSTMStateBounded(t *testing.T) {
 	}
 }
 
+// TestEmptySequenceIsZeroState pins AccumulateGradients on the empty
+// sequence for every cell family: the head sees the zero state, the loss is
+// that state's, and no cell parameter receives a gradient. The trace arenas
+// are dirtied by a real sequence first.
+func TestEmptySequenceIsZeroState(t *testing.T) {
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			n := tc.make(3, 4, 2, rng)
+			n.AccumulateGradients(randSeq(rng, 3, 3), 0)
+			n.ZeroGrad()
+			const label = 1
+			loss := n.AccumulateGradients(nil, label)
+			want, _ := SoftmaxCrossEntropyInto(n.LogitsFromState(make([]float64, n.wout.Cols)), label, make([]float64, 2))
+			if loss != want {
+				t.Errorf("loss %v, want the zero state's %v", loss, want)
+			}
+			for i, p := range n.Params()[:len(n.Params())-1] { // all but the output bias
+				for j, g := range p.Grad {
+					if g != 0 {
+						t.Fatalf("param %d elem %d: gradient %v from the empty sequence", i, j, g)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestMLPIgnoresHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	n := NewMLPNet(2, 4, 2, rng)
