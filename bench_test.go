@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§V), at reduced scale so the whole suite finishes in minutes. The cmd/
-// harnesses (wabench, clfbench, latbench, perfbench) run the same
-// experiments at full scaled size with human-readable output.
+// (§V), at reduced scale so the whole suite finishes in minutes. The
+// subcommands of cmd/phftl (wa, clf, lat and perf) run the same experiments
+// at full scaled size with human-readable output.
 //
 // Results are attached to each benchmark via b.ReportMetric, so
 // `go test -bench=. -benchmem` prints the reproduced quantities alongside
@@ -64,7 +64,7 @@ func BenchmarkFig2LifetimeCDF(b *testing.B) {
 // BenchmarkFig5WriteAmplification reproduces Figure 5 on two representative
 // traces (#52, lowest WA; #144, highest WA) across all four schemes,
 // reporting each scheme's data write amplification in percent. Run
-// cmd/wabench for the full 20-trace sweep.
+// `phftl wa` for the full 20-trace sweep.
 func BenchmarkFig5WriteAmplification(b *testing.B) {
 	for _, id := range []string{"#52", "#144"} {
 		for _, scheme := range sim.Schemes() {
@@ -324,7 +324,7 @@ func BenchmarkWritePath(b *testing.B) {
 
 // BenchmarkWritePathSteadyState measures the per-page write cost once the
 // drive is in steady state — fully written, GC active, model deployed —
-// which is the regime wabench wall-clock is dominated by. With -benchmem it
+// which is the regime phftl wa wall-clock is dominated by. With -benchmem it
 // also pins the zero-allocation invariant of the hot path (the alloc
 // regression tests in internal/core assert the same property exactly).
 // Because GC is active, every erase taken here crosses the device's

@@ -1,7 +1,7 @@
 // Command phftld is the fleet service: a long-running daemon that accepts
 // simulation cells over HTTP, runs them on a bounded worker pool, and serves
 // live telemetry plus fleet-wide WA percentiles while they execute. It is the
-// service-shaped counterpart to the batch harnesses (wabench et al.): instead
+// service-shaped counterpart to the batch harnesses (phftl wa et al.): instead
 // of a fixed trace×scheme matrix decided at launch, cells arrive at runtime
 // and survive restarts through a JSONL queue journal.
 //

@@ -13,7 +13,7 @@ import (
 	"github.com/phftl/phftl/internal/obs/registry"
 )
 
-// httpPoller drains a -listen telemetry server (wabench/perfbench/phftlsim)
+// httpPoller drains a -listen telemetry server (phftl wa/perf/sim)
 // into the model: per poll it folds one sample built from /api/v1/cells and
 // every new event from /api/v1/events (resuming at the ?since= cursor), so the
 // dashboard state matches what a JSONL tail of the same run would have

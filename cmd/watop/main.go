@@ -1,13 +1,13 @@
 // Command watop is a live terminal dashboard over a PHFTL telemetry JSONL
-// stream (phftlsim/wabench -telemetry): sparklines for interval WA,
+// stream (phftl sim/wa -telemetry): sparklines for interval WA,
 // threshold, cache-hit and wear-skew, plus per-die wear bars fed by erase
 // events. It tails a file (following appends, like tail -f), reads stdin, or
 // polls a harness's -listen HTTP telemetry server:
 //
-//	phftlsim -trace '#52' -telemetry /dev/stdout | watop
+//	phftl sim -trace '#52' -telemetry /dev/stdout | watop
 //	watop -f run.jsonl            # follow a file another process writes
 //	watop -once -f run.jsonl      # render one frame of what's there and exit
-//	watop -http :9090             # poll a wabench/phftlsim -listen server
+//	watop -http :9090             # poll a phftl wa/sim -listen server
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Tracereplay shows the external-trace path: it synthesizes a block trace,
-// round-trips it through the CSV codec (the same format phftlsim -csv
+// round-trips it through the CSV codec (the same format phftl sim -csv
 // accepts, compatible with Alibaba-style 5-field rows), annotates
 // ground-truth page lifetimes offline, and replays it under PHFTL.
 package main

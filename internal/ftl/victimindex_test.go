@@ -234,7 +234,7 @@ func (c *scoreCounter) Score(sb SBView, clock uint64) float64 {
 
 // TestVictimSelectorDifferential drives the scan and indexed selectors over
 // the same workloads and requires byte-identical victim sequences and final
-// statistics — the guarantee that lets wabench results stay reproducible
+// statistics — the guarantee that lets phftl wa results stay reproducible
 // whatever the index prunes. Cross-check mode additionally panics inside the
 // FTL on the first divergent selection, pinpointing the clock if the two
 // ever disagree.

@@ -11,7 +11,7 @@ import (
 
 // ProfileFlags bundles the standard Go runtime-profiling outputs so every
 // cmd/ harness exposes them uniformly. The execution-trace flag is named
-// -exectrace (not the conventional -trace) because phftlsim already uses
+// -exectrace (not the conventional -trace) because phftl sim already uses
 // -trace for workload selection.
 type ProfileFlags struct {
 	CPUProfile string

@@ -32,7 +32,7 @@ type Job struct {
 	Sink bool
 }
 
-// Exec is the one cell executor behind wabench, phftld and phftlsim: build
+// Exec is the one cell executor behind phftl wa, phftl sim and phftld: build
 // the scheme over the profile's drive, observe it if anyone is watching,
 // replay, finish, collect. Cancelling ctx stops a generator replay between
 // trace records (errors.Is(err, context.Canceled)). The instance is returned
@@ -68,7 +68,7 @@ func Exec(ctx context.Context, j Job) (*sim.Instance, Output, error) {
 // Observe instruments in when the cell has an audience — a live registry
 // cell, a sink that wants the buffered events, or both — and returns the
 // observation, nil when nobody is watching. Exported for the harness that
-// builds its own instance (perfbench's timing machine).
+// builds its own instance (phftl perf's timing machine).
 func Observe(in *sim.Instance, live *registry.Cell, sampleEvery uint64, sink bool) *sim.Observation {
 	if live == nil && !sink {
 		return nil

@@ -10,10 +10,10 @@ import (
 	"github.com/phftl/phftl/internal/sim"
 )
 
-// CSVHeader is the wabench per-cell CSV header row (with trailing newline).
+// CSVHeader is the phftl wa per-cell CSV header row (with trailing newline).
 const CSVHeader = "trace,size,scheme,wa,data_wa,user_writes,gc_writes,meta_writes,hit_rate\n"
 
-// WriteCSVRow writes one wabench CSV row for a cell result. hit_rate is a
+// WriteCSVRow writes one phftl wa CSV row for a cell result. hit_rate is a
 // PHFTL-only quantity (the metadata-cache hit rate); baseline schemes have
 // no metadata cache, so their rows leave the column empty instead of
 // repeating a neighbouring PHFTL row's value.
@@ -29,7 +29,7 @@ func WriteCSVRow(w io.Writer, driveClass string, res sim.Result) error {
 	return err
 }
 
-// CellCSVName is the file name under which wabench -telemetry-csv stores a
+// CellCSVName is the file name under which phftl wa -telemetry-csv stores a
 // cell's sample time series, and so the name of each golden baseline under
 // testdata/golden: "<trace>_<scheme>.csv" with the trace ID's '#' prefix
 // stripped and any path-hostile characters replaced by '_'.
@@ -55,7 +55,7 @@ func sanitizeFile(s string) string {
 
 // Summary renders the single-run measurement block (WA, GC activity, wear
 // read from the FTL's device, and for PHFTL the classifier/threshold/cache
-// statistics) that phftlsim prints. The endurance line appears once a block
+// statistics) that phftl sim prints. The endurance line appears once a block
 // has been erased.
 func Summary(res sim.Result, f *ftl.FTL) string {
 	var b strings.Builder

@@ -34,7 +34,7 @@ type Cell struct {
 	Scheme sim.Scheme
 
 	// OP, when positive, marks an overprovisioning-sweep cell built at that
-	// spare ratio instead of the default 7% (wabench -op-sweep). It feeds
+	// spare ratio instead of the default 7% (phftl wa -op-sweep). It feeds
 	// run tagging only; the harness maps it to GeometryForDriveOP and
 	// sim.Spec.OP.
 	OP float64
@@ -59,7 +59,7 @@ func (c Cell) RunTag() string {
 // Output is what one cell produces. Events and Samples are the cell's own
 // buffered telemetry (nil when the cell did not observe); Dropped counts
 // events the cell's ring overwrote (its retained window is incomplete);
-// Extra carries any harness-specific payload (e.g. perfbench's phase
+// Extra carries any harness-specific payload (e.g. phftl perf's phase
 // results). Err is the cell's failure, if any, already tagged with the
 // cell's trace/scheme.
 type Output struct {

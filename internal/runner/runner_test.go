@@ -35,7 +35,7 @@ func smallProfiles(t *testing.T) map[string]workload.Profile {
 	return out
 }
 
-// simFunc is the wabench-style cell body: build the scheme, observe,
+// simFunc is the phftl wa cell body: build the scheme, observe,
 // replay one drive write, return result plus buffered telemetry.
 func simFunc(profiles map[string]workload.Profile) Func {
 	return func(c Cell) (Output, error) {
@@ -360,7 +360,7 @@ func TestWriteCSVRowPHFTLColumns(t *testing.T) {
 	}
 }
 
-// CellCSVName is the contract between wabench -telemetry-csv and the
+// CellCSVName is the contract between phftl wa -telemetry-csv and the
 // golden-curve harness (testdata/golden file names); a change here orphans
 // every checked-in baseline.
 func TestCellCSVName(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 	"github.com/phftl/phftl/internal/obs/registry"
 )
 
-// TelemetryFlags is the flag block wabench, perfbench and phftlsim share:
+// TelemetryFlags is the flag block phftl sim, wa and perf share:
 // -telemetry, -listen and the runtime-profile flags.
 type TelemetryFlags struct {
 	Path   string // -telemetry
@@ -20,7 +20,7 @@ type TelemetryFlags struct {
 }
 
 // Register installs the flags on fs. telemetryHelp is the -telemetry help
-// text: the sweep harnesses tag lines by run, phftlsim does not.
+// text: the sweep harnesses tag lines by run, phftl sim does not.
 func (t *TelemetryFlags) Register(fs *flag.FlagSet, telemetryHelp string) {
 	fs.StringVar(&t.Path, "telemetry", "", telemetryHelp)
 	fs.StringVar(&t.listen, "listen", "", "serve live telemetry over HTTP on this address while the run executes (e.g. :9090 or 127.0.0.1:0): /metrics, /api/v1/status, /api/v1/cells, /api/v1/events, /debug/pprof; the bound URL is printed to stderr")

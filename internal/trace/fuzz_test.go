@@ -12,7 +12,7 @@ import (
 // header; and every row it accepts in the native 4-field layout round-trips
 // through WriteCSV and back to the same record. A plain csv.Reader over the
 // same bytes is the model of the rows. The seed corpus in
-// testdata/fuzz/FuzzTraceReader (tracegen output, MSR and Alibaba rows,
+// testdata/fuzz/FuzzTraceReader (phftl gen output, MSR and Alibaba rows,
 // header lines and malformed lines) runs under plain go test; `make fuzz`
 // explores further.
 func FuzzTraceReader(f *testing.F) {
